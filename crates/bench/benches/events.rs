@@ -25,7 +25,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use lumiere_bench::experiments::worst_case_byzantine_ids;
 use lumiere_sim::runner::{BroadcastMode, ExecOptions};
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
-use lumiere_sim::ByzBehavior;
+use lumiere_sim::StrategyKind;
 use lumiere_types::{Duration, Time};
 
 const N: usize = 256;
@@ -54,7 +54,7 @@ fn worst_cfg() -> SimConfig {
         .with_delta(Duration::from_millis(10))
         .with_adversarial_delay()
         .with_gst(Time::from_millis(200))
-        .with_faulty_ids(byz, ByzBehavior::SilentLeader)
+        .with_faulty_ids(byz, StrategyKind::SilentLeader)
         .with_horizon(Duration::from_secs(8))
         .with_max_honest_qcs(3)
         .with_seed(SEED)

@@ -7,7 +7,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
-use lumiere_sim::ByzBehavior;
+use lumiere_sim::StrategyKind;
 use lumiere_types::{Duration, Time};
 
 fn benign_run(protocol: ProtocolKind, n: usize) -> usize {
@@ -26,7 +26,7 @@ fn worst_case_run(protocol: ProtocolKind, n: usize) -> usize {
         .with_delta(Duration::from_millis(10))
         .with_adversarial_delay()
         .with_gst(Time::from_millis(100))
-        .with_faults(f, ByzBehavior::SilentLeader)
+        .with_faults(f, StrategyKind::SilentLeader)
         .with_horizon(Duration::from_secs(6))
         .with_max_honest_qcs(3)
         .run()

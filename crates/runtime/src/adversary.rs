@@ -22,16 +22,17 @@
 //!   partial-synchrony envelope (delivery by `max(GST, send) + Δ`): the
 //!   adversary chooses delays, it cannot break the model.
 //!
-//! The subsystem used to live inside `lumiere-sim`; it moved here so that
-//! the *same* strategy machinery can corrupt a live `lumiere-node` process
-//! (via [`StrategyHost`](crate::strategy::StrategyHost)) that the simulator
-//! gates in virtual time. The simulator re-exports every type from its old
-//! paths.
+//! The subsystem lives in the runtime so that the *same* strategy machinery
+//! (hosted by [`StrategyHost`](crate::strategy::StrategyHost)) corrupts a
+//! live `lumiere-node` process and a processor the simulator gates in
+//! virtual time.
 //!
 //! The concrete strategies implemented here are the ones the paper's attack
 //! arguments use (see `docs/ADVERSARIES.md` for the mapping):
 //!
-//! * crash / silent-leader / sync-silent — the legacy [`ByzBehavior`] trio;
+//! * **crash**, **silent leader** and **sync-silent** — the closed
+//!   behaviours behind the paper's worst-case arguments (see
+//!   [`StrategyKind`]);
 //! * **equivocation** — a corrupted leader sends *conflicting proposals to
 //!   disjoint vote sets*, trying to split the quorum;
 //! * **targeted partition** — expressed as delay rules: honest→honest
@@ -48,41 +49,6 @@ use lumiere_types::{Batch, Duration, ProcessId, Time, TimeRange, View};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 use std::fmt::Debug;
-
-/// Byzantine fault behaviours (legacy shorthand).
-///
-/// Since the adversary subsystem became pluggable, this closed enum is a
-/// convenience layer: each variant maps onto a [`StrategyKind`] (via
-/// `From`), and the simulator's `SimConfig::with_faults` translates it into
-/// an [`AdversarySchedule`] (via [`AdversarySchedule::uniform`]) under the
-/// hood.
-///
-/// The paper's adversary is fully Byzantine; the behaviours named here are
-/// the ones its worst-case arguments actually use, plus crash faults for
-/// the benign regime:
-///
-/// * [`ByzBehavior::Crash`] — the processor never sends anything (it does
-///   not even boot). The remaining `n − f_a` processors must synchronize
-///   without its signatures.
-/// * [`ByzBehavior::SilentLeader`] — the processor follows the protocol
-///   (votes, sends view and epoch-view messages, forwards certificates) but
-///   never proposes when it is the leader. Its views therefore never
-///   produce a QC while the adversary pays nothing in detectability — this
-///   is the behaviour behind Figure 1 and the `Ω(nΔ)` latency attack on
-///   LP22.
-/// * [`ByzBehavior::SyncSilent`] — the processor votes in the underlying
-///   protocol but never participates in view synchronization (sends no
-///   view, epoch-view or wish messages) and never proposes. This stresses
-///   the `f+1` / `2f+1` thresholds of the synchronizers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ByzBehavior {
-    /// Sends nothing at all.
-    Crash,
-    /// Participates fully except it never proposes as leader.
-    SilentLeader,
-    /// Votes but does not help view synchronization and never proposes.
-    SyncSilent,
-}
 
 /// Read-only protocol observations a corrupted processor may react to.
 ///
@@ -185,11 +151,16 @@ pub trait AdversaryStrategy: Debug + Send {
 /// runtime [`AdversaryStrategy`] trait objects.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum StrategyKind {
-    /// Sends nothing at all (never boots).
+    /// Sends nothing at all (never boots): the remaining `n − f_a`
+    /// processors must synchronize without its signatures.
     Crash,
-    /// Participates fully except it never proposes as leader.
+    /// Participates fully (votes, view and epoch-view messages, certificate
+    /// forwarding) except it never proposes as leader, so its views never
+    /// produce a QC while it stays undetectable — the behaviour behind
+    /// Figure 1 and the `Ω(nΔ)` latency attack on LP22.
     SilentLeader,
-    /// Votes but does not help view synchronization and never proposes.
+    /// Votes but sends no view, epoch-view or wish messages and never
+    /// proposes, stressing the synchronizers' `f+1` / `2f+1` thresholds.
     SyncSilent,
     /// Proposes *conflicting* blocks to disjoint halves of the processors,
     /// attempting to split the vote and waste its views (and, against a
@@ -261,16 +232,6 @@ impl StrategyKind {
                 starving_since: None,
                 withheld: BTreeSet::new(),
             }),
-        }
-    }
-}
-
-impl From<ByzBehavior> for StrategyKind {
-    fn from(behavior: ByzBehavior) -> Self {
-        match behavior {
-            ByzBehavior::Crash => StrategyKind::Crash,
-            ByzBehavior::SilentLeader => StrategyKind::SilentLeader,
-            ByzBehavior::SyncSilent => StrategyKind::SyncSilent,
         }
     }
 }
@@ -395,32 +356,13 @@ impl AdversarySchedule {
         self
     }
 
-    /// The uniform adversary: every id corrupted with the same
-    /// [`ByzBehavior`], no delay targeting. (The translation target of the
-    /// retired `with_byzantine` legacy configuration path.)
-    pub fn uniform(ids: &[usize], behavior: ByzBehavior) -> Self {
+    /// The uniform adversary: every id corrupted with the same strategy, no
+    /// delay targeting.
+    pub fn uniform(ids: &[usize], strategy: StrategyKind) -> Self {
         AdversarySchedule {
             corruptions: ids
                 .iter()
-                .map(|&node| Corruption {
-                    node,
-                    strategy: StrategyKind::from(behavior),
-                })
-                .collect(),
-            delay_rules: Vec::new(),
-        }
-    }
-
-    /// The equivocation adversary: every id proposes conflicting blocks to
-    /// disjoint vote sets.
-    pub fn equivocation(ids: &[usize]) -> Self {
-        AdversarySchedule {
-            corruptions: ids
-                .iter()
-                .map(|&node| Corruption {
-                    node,
-                    strategy: StrategyKind::Equivocate,
-                })
+                .map(|&node| Corruption { node, strategy })
                 .collect(),
             delay_rules: Vec::new(),
         }
@@ -864,25 +806,47 @@ mod tests {
 
     #[test]
     fn strategy_kinds_build_their_runtime_objects() {
-        for (kind, name) in [
-            (StrategyKind::Crash, "crash"),
-            (StrategyKind::SilentLeader, "silent-leader"),
-            (StrategyKind::SyncSilent, "sync-silent"),
-            (StrategyKind::Equivocate, "equivocate"),
+        // The static gates, where pinned, are
+        // `(runs_consensus, runs_pacemaker, proposes)` at boot.
+        for (kind, name, gates) in [
+            (StrategyKind::Crash, "crash", Some((false, false, false))),
+            (
+                StrategyKind::SilentLeader,
+                "silent-leader",
+                Some((true, true, false)),
+            ),
+            (
+                StrategyKind::SyncSilent,
+                "sync-silent",
+                Some((true, false, false)),
+            ),
+            (StrategyKind::Equivocate, "equivocate", None),
             (
                 StrategyKind::CrashRecovery {
                     down: TimeRange::new(Time::ZERO, Time::from_millis(5)),
                 },
                 "crash-recovery",
+                None,
             ),
             (
                 StrategyKind::AdaptiveLeaderTargeting,
                 "adaptive-leader-targeting",
+                None,
             ),
-            (StrategyKind::QcStarvation, "qc-starvation"),
+            (StrategyKind::QcStarvation, "qc-starvation", None),
         ] {
             assert_eq!(kind.name(), name);
-            assert_eq!(kind.build().name(), name);
+            let strategy = kind.build();
+            assert_eq!(strategy.name(), name);
+            if let Some(gates) = gates {
+                let ctx = ctx_at(Time::ZERO);
+                let actual = (
+                    strategy.runs_consensus(&ctx),
+                    strategy.runs_pacemaker(&ctx),
+                    strategy.proposes(&ctx),
+                );
+                assert_eq!(actual, gates, "{name} gates");
+            }
         }
         for kind in StrategyKind::SIMPLE {
             assert!(!matches!(kind, StrategyKind::CrashRecovery { .. }));
@@ -909,23 +873,15 @@ mod tests {
     }
 
     #[test]
-    fn legacy_behaviours_map_onto_strategy_kinds() {
-        assert_eq!(StrategyKind::from(ByzBehavior::Crash), StrategyKind::Crash);
-        assert_eq!(
-            StrategyKind::from(ByzBehavior::SilentLeader),
-            StrategyKind::SilentLeader
-        );
-        assert_eq!(
-            StrategyKind::from(ByzBehavior::SyncSilent),
-            StrategyKind::SyncSilent
-        );
-        let schedule = AdversarySchedule::uniform(&[1, 3], ByzBehavior::Crash);
+    fn uniform_schedules_corrupt_every_id_alike() {
+        let schedule = AdversarySchedule::uniform(&[1, 3], StrategyKind::Crash);
         assert_eq!(
             schedule.corrupted_ids().into_iter().collect::<Vec<_>>(),
             [1, 3]
         );
         assert_eq!(schedule.strategy_for(3), Some(StrategyKind::Crash));
         assert_eq!(schedule.strategy_for(2), None);
+        assert!(schedule.delay_rules.is_empty());
     }
 
     #[test]
@@ -1050,15 +1006,13 @@ mod tests {
 
     #[test]
     fn schedule_validation_rejects_bad_plans() {
-        let ok = AdversarySchedule::equivocation(&[5, 6]);
+        let equivocation =
+            |ids: &[usize]| AdversarySchedule::uniform(ids, StrategyKind::Equivocate);
+        let ok = equivocation(&[5, 6]);
         assert!(ok.validate(7, 2).is_ok());
         assert!(ok.validate(7, 1).is_err(), "too many corruptions");
-        assert!(AdversarySchedule::equivocation(&[9])
-            .validate(7, 2)
-            .is_err());
-        assert!(AdversarySchedule::equivocation(&[3, 3])
-            .validate(7, 2)
-            .is_err());
+        assert!(equivocation(&[9]).validate(7, 2).is_err());
+        assert!(equivocation(&[3, 3]).validate(7, 2).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! experiments. The type lives here (rather than in the simulator) because
 //! the adversary schedule's per-edge [`DelayRule`](crate::adversary::DelayRule)s
 //! embed a model, and schedules are shared between the simulator and the
-//! live cluster harness; the simulator re-exports it from its old path.
+//! live cluster harness.
 
 use lumiere_types::{Duration, Time};
 use rand::rngs::StdRng;

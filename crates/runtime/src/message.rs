@@ -1,11 +1,8 @@
 //! The protocol's wire message: one enum for everything a node puts on the
 //! network, regardless of which transport carries it.
 //!
-//! This type used to live inside the simulator (as `SimMessage`); it moved
-//! here when the protocol was lifted out of the simulator so that the same
-//! messages can travel through the discrete-event network, an in-process
-//! channel mesh, or real TCP sockets. The simulator re-exports it under its
-//! old name.
+//! The same messages travel through the simulator's discrete-event
+//! network, an in-process channel mesh, or real TCP sockets.
 
 use lumiere_consensus::ConsensusMessage;
 use lumiere_core::messages::PacemakerMessage;

@@ -1,9 +1,7 @@
 //! Protocol selection: which view-synchronization pacemaker a runtime runs.
 //!
-//! [`ProtocolKind`] used to live inside the simulator's scenario module; it
-//! moved here when the protocol was lifted out of the simulator, because the
-//! live node binary needs to build pacemakers too. The simulator re-exports
-//! it from its old path.
+//! [`ProtocolKind`] lives in the runtime because the live node binary and
+//! the simulator both build pacemakers from it.
 
 use lumiere_baselines::{Fever, Lp22, NaiveQuadratic, RelayPacemaker};
 use lumiere_consensus::HotStuffEngine;

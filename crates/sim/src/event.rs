@@ -4,10 +4,10 @@
 //! fixed-width time buckets plus an overflow heap) rather than one global
 //! [`BinaryHeap`]: pushing an event becomes an O(1) append into the bucket
 //! covering its delivery tick, and popping sorts only the small bucket that
-//! is currently being drained. The old heap survives as [`HeapQueue`], both
-//! as documentation of the reference semantics and as the oracle for the
-//! property test that pins the calendar queue to identical delivery order
-//! (`same order as the old BinaryHeap on random schedules`).
+//! is currently being drained. The old heap survives in the test module as
+//! `HeapQueue`, the reference semantics and the oracle of the property test
+//! that pins the calendar queue to identical delivery order
+//! (`wheel_matches_heap_on_random_schedules`).
 //!
 //! # Symbolic broadcasts
 //!
@@ -15,7 +15,7 @@
 //! `n = 4096` a single proposal put four thousand entries on the wheel. The
 //! queue now stores a broadcast **symbolically**
 //! ([`EventQueue::push_broadcast`]): one group entry per honesty class
-//! carrying the shared [`Arc<SimMessage>`], lazily expanded into
+//! carrying the shared [`Arc<WireMessage>`], lazily expanded into
 //! per-recipient [`Event::Deliver`]s as it pops. The trick that keeps this
 //! exact is that adversary delay rules key on *honesty class*, message class
 //! and send-time window — never on an individual recipient id — so a
@@ -31,18 +31,13 @@
 //! sequence numbers eager per-recipient pushes would have consumed — so the
 //! global `(time, seq)` delivery order is *identical* to eager expansion,
 //! byte for byte. The property tests in this module hold symbolic pops
-//! against an eagerly-expanded [`HeapQueue`] on random schedules.
+//! against the eagerly-expanded `HeapQueue` on random schedules.
 
+use lumiere_runtime::WireMessage;
 use lumiere_types::{ProcessId, Time, Transaction};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
-
-/// A message travelling through the simulated network (re-exported from
-/// `lumiere-runtime`; the simulator's historical name for the wire message).
-/// The simulated network carries exactly the frames a live TCP cluster
-/// would.
-pub use lumiere_runtime::WireMessage as SimMessage;
 
 /// An event scheduled for execution at a point in simulated time.
 ///
@@ -63,7 +58,7 @@ pub enum Event {
         /// The original sender.
         from: ProcessId,
         /// The message (shared between the recipients of a broadcast).
-        message: Arc<SimMessage>,
+        message: Arc<WireMessage>,
     },
     /// Fire a wake-up previously requested by a processor's pacemaker.
     Wake {
@@ -103,7 +98,7 @@ pub enum ClassDelay {
 #[derive(Debug)]
 struct BroadcastGroup {
     from: ProcessId,
-    message: Arc<SimMessage>,
+    message: Arc<WireMessage>,
     /// Per-processor honesty, shared with the runner (index = id).
     honesty: Arc<Vec<bool>>,
     /// Which honesty class this group delivers to.
@@ -171,7 +166,7 @@ impl Ord for Scheduled {
 }
 
 /// Finds the first recipient of `to_honest` class (ascending id, skipping
-/// `from`), shared by both queues' broadcast paths.
+/// `from`): where a symbolic broadcast group starts.
 fn first_member(honesty: &[bool], from: ProcessId, to_honest: bool) -> Option<usize> {
     (0..honesty.len()).find(|&id| id != from.as_usize() && honesty[id] == to_honest)
 }
@@ -181,93 +176,6 @@ fn first_member(honesty: &[bool], from: ProcessId, to_honest: bool) -> Option<us
 fn broadcast_seq(base: u64, from: ProcessId, r: usize) -> u64 {
     let rank = if r < from.as_usize() { r } else { r - 1 };
     base + 1 + rank as u64
-}
-
-/// The original `BinaryHeap` event queue, kept as the reference
-/// implementation: a deterministic time-ordered queue (ties broken by
-/// insertion order). [`EventQueue`] must deliver in exactly this order; the
-/// property test in this module holds the two against each other on random
-/// schedules.
-///
-/// `push_broadcast` here expands **eagerly** (one entry per recipient),
-/// making the heap the oracle for the calendar queue's symbolic broadcast
-/// representation too.
-#[derive(Debug, Default)]
-pub struct HeapQueue {
-    heap: BinaryHeap<Scheduled>,
-    seq: u64,
-}
-
-impl HeapQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Schedules `event` at time `at`.
-    pub fn push(&mut self, at: Time, event: Event) {
-        self.seq += 1;
-        self.heap.push(Scheduled {
-            at,
-            seq: self.seq,
-            payload: Payload::One(event),
-        });
-    }
-
-    /// Schedules a broadcast from `from` to every other processor, expanded
-    /// eagerly: recipients in ascending id order, each delivered per its
-    /// honesty class (`jitter` is invoked, in id order, only for recipients
-    /// of a [`ClassDelay::Jittered`] class). Reference semantics for
-    /// [`EventQueue::push_broadcast`].
-    pub fn push_broadcast<F>(
-        &mut self,
-        from: ProcessId,
-        message: Arc<SimMessage>,
-        honesty: &Arc<Vec<bool>>,
-        honest: ClassDelay,
-        corrupt: ClassDelay,
-        mut jitter: F,
-    ) where
-        F: FnMut(ProcessId) -> Time,
-    {
-        for id in 0..honesty.len() {
-            if id == from.as_usize() {
-                continue;
-            }
-            let class = if honesty[id] { honest } else { corrupt };
-            let to = ProcessId::new(id);
-            let at = match class {
-                ClassDelay::At(t) => t,
-                ClassDelay::Jittered => jitter(to),
-            };
-            self.push(
-                at,
-                Event::Deliver {
-                    to,
-                    from,
-                    message: Arc::clone(&message),
-                },
-            );
-        }
-    }
-
-    /// Pops the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(Time, Event)> {
-        self.heap.pop().map(|s| match s.payload {
-            Payload::One(event) => (s.at, event),
-            Payload::Group(_) => unreachable!("HeapQueue expands broadcasts eagerly"),
-        })
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
 }
 
 /// Width of one calendar bucket in microseconds. A power of two near 1 ms:
@@ -365,11 +273,11 @@ impl EventQueue {
     /// eagerly here, invoking `jitter` in ascending id order (exactly the
     /// order eager delivery draws its RNG). The broadcast reserves the same
     /// contiguous sequence-number block eager expansion would consume, so
-    /// delivery order is identical to [`HeapQueue::push_broadcast`].
+    /// delivery order is identical to eager per-recipient pushes.
     pub fn push_broadcast<F>(
         &mut self,
         from: ProcessId,
-        message: Arc<SimMessage>,
+        message: Arc<WireMessage>,
         honesty: &Arc<Vec<bool>>,
         honest: ClassDelay,
         corrupt: ClassDelay,
@@ -545,6 +453,88 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The original `BinaryHeap` event queue, kept as the reference
+    /// implementation: a deterministic time-ordered queue (ties broken by
+    /// insertion order). [`EventQueue`] must deliver in exactly this order; the
+    /// property test in this module holds the two against each other on random
+    /// schedules.
+    ///
+    /// `push_broadcast` here expands **eagerly** (one entry per recipient),
+    /// making the heap the oracle for the calendar queue's symbolic broadcast
+    /// representation too.
+    #[derive(Debug, Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Scheduled>,
+        seq: u64,
+    }
+
+    impl HeapQueue {
+        /// Creates an empty queue.
+        fn new() -> Self {
+            Self::default()
+        }
+
+        /// Schedules `event` at time `at`.
+        fn push(&mut self, at: Time, event: Event) {
+            self.seq += 1;
+            self.heap.push(Scheduled {
+                at,
+                seq: self.seq,
+                payload: Payload::One(event),
+            });
+        }
+
+        /// Schedules a broadcast from `from` to every other processor, expanded
+        /// eagerly: recipients in ascending id order, each delivered per its
+        /// honesty class (`jitter` is invoked, in id order, only for recipients
+        /// of a [`ClassDelay::Jittered`] class). Reference semantics for
+        /// [`EventQueue::push_broadcast`].
+        fn push_broadcast<F>(
+            &mut self,
+            from: ProcessId,
+            message: Arc<WireMessage>,
+            honesty: &Arc<Vec<bool>>,
+            honest: ClassDelay,
+            corrupt: ClassDelay,
+            mut jitter: F,
+        ) where
+            F: FnMut(ProcessId) -> Time,
+        {
+            for id in 0..honesty.len() {
+                if id == from.as_usize() {
+                    continue;
+                }
+                let class = if honesty[id] { honest } else { corrupt };
+                let to = ProcessId::new(id);
+                let at = match class {
+                    ClassDelay::At(t) => t,
+                    ClassDelay::Jittered => jitter(to),
+                };
+                self.push(
+                    at,
+                    Event::Deliver {
+                        to,
+                        from,
+                        message: Arc::clone(&message),
+                    },
+                );
+            }
+        }
+
+        /// Pops the earliest event, if any.
+        fn pop(&mut self) -> Option<(Time, Event)> {
+            self.heap.pop().map(|s| match s.payload {
+                Payload::One(event) => (s.at, event),
+                Payload::Group(_) => unreachable!("HeapQueue expands broadcasts eagerly"),
+            })
+        }
+
+        /// Number of pending events.
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+    }
+
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
@@ -654,9 +644,9 @@ mod tests {
         assert_eq!(q.pop().unwrap().0, Time::from_millis(20));
     }
 
-    fn msg() -> Arc<SimMessage> {
+    fn msg() -> Arc<WireMessage> {
         use lumiere_types::TxId;
-        Arc::new(SimMessage::Submit(Transaction::new(TxId::new(7))))
+        Arc::new(WireMessage::Submit(Transaction::new(TxId::new(7))))
     }
 
     /// honesty[i] = (i % 3 != 2): nodes 2, 5, 8, … corrupted.

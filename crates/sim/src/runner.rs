@@ -29,13 +29,13 @@
 //! between eager and symbolic broadcast modes; `sim_equivalence.rs` and the
 //! scale suite's determinism tests pin this.
 
-use crate::adversary::AdversarySchedule;
-use crate::event::{ClassDelay, Event, EventQueue, SimMessage};
+use crate::event::{ClassDelay, Event, EventQueue};
 use crate::metrics::{MetricsCollector, SimReport};
-use crate::network::DelayModel;
-use crate::node::{Node, NodeOutput};
 use crate::scenario::SimConfig;
 use crate::trace::{Trace, TraceKind};
+use lumiere_runtime::{
+    AdversarySchedule, ConsensusRuntime, DelayModel, RuntimeOutput, StrategyHost, WireMessage,
+};
 use lumiere_types::{Duration, ProcessId, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -122,21 +122,42 @@ impl Default for ExecOptions {
 impl ExecOptions {
     /// Reads overrides from the environment: `LUMIERE_SIM_SHARDS` (a worker
     /// count, `0` = auto) and `LUMIERE_SIM_BROADCAST` (`eager` or
-    /// `symbolic`). CI's cross-shard determinism smoke drives runs through
-    /// these.
+    /// `symbolic`). An unset variable keeps the default. CI's cross-shard
+    /// determinism smoke drives runs through these.
+    ///
+    /// # Panics
+    ///
+    /// On a value the variable does not accept, so a typo cannot quietly
+    /// turn an eager-vs-symbolic comparison into symbolic-vs-symbolic.
     pub fn from_env() -> Self {
-        let shards = std::env::var("LUMIERE_SIM_SHARDS")
-            .ok()
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(0);
-        let broadcast = match std::env::var("LUMIERE_SIM_BROADCAST")
-            .as_deref()
-            .map(str::trim)
-        {
-            Ok("eager") => BroadcastMode::Eager,
-            _ => BroadcastMode::Symbolic,
-        };
-        ExecOptions { shards, broadcast }
+        let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        Self::parse(
+            var("LUMIERE_SIM_SHARDS").as_deref(),
+            var("LUMIERE_SIM_BROADCAST").as_deref(),
+        )
+        .unwrap_or_else(|message| panic!("{message}"))
+    }
+
+    /// Parses the two environment overrides (`None` = unset).
+    fn parse(shards: Option<&str>, broadcast: Option<&str>) -> Result<Self, String> {
+        let mut exec = ExecOptions::default();
+        if let Some(value) = shards {
+            exec.shards = value.trim().parse().map_err(|_| {
+                format!("LUMIERE_SIM_SHARDS={value:?}: expected a worker count (0 = auto)")
+            })?;
+        }
+        if let Some(value) = broadcast {
+            exec.broadcast = match value.trim() {
+                "eager" => BroadcastMode::Eager,
+                "symbolic" => BroadcastMode::Symbolic,
+                _ => {
+                    return Err(format!(
+                        "LUMIERE_SIM_BROADCAST={value:?}: expected `eager` or `symbolic`"
+                    ))
+                }
+            };
+        }
+        Ok(exec)
     }
 
     /// Fixes the worker count.
@@ -187,7 +208,7 @@ pub struct Simulation {
     /// Resolved worker count (≥ 1).
     shards: usize,
     schedule: AdversarySchedule,
-    nodes: Vec<Node>,
+    nodes: Vec<StrategyHost>,
     /// Per-processor honesty, shared with symbolic broadcast groups.
     honesty: Arc<Vec<bool>>,
     queue: EventQueue,
@@ -201,13 +222,13 @@ pub struct Simulation {
     events_processed: u64,
     events_since_sweep: u64,
     /// Scratch output buffer, reused across events (capacity persists).
-    scratch: NodeOutput,
+    scratch: RuntimeOutput,
     /// Scratch clock-reading buffer for gap sampling.
     readings: Vec<Duration>,
     /// Same-timestamp batch buffer, reused across batches.
     batch: Vec<Event>,
     /// Per-batched-event output pool for the parallel path.
-    batch_outputs: Vec<NodeOutput>,
+    batch_outputs: Vec<RuntimeOutput>,
 }
 
 impl Simulation {
@@ -270,7 +291,7 @@ impl Simulation {
             truncated: false,
             events_processed: 0,
             events_since_sweep: 0,
-            scratch: NodeOutput::default(),
+            scratch: RuntimeOutput::default(),
             readings: Vec::new(),
             batch: Vec::new(),
             batch_outputs: Vec::new(),
@@ -301,7 +322,7 @@ impl Simulation {
             .nodes
             .iter()
             .filter(|n| n.is_honest())
-            .map(|n| n.mempool_shed())
+            .map(|n| n.runtime().mempool().shed())
             .sum();
         self.collector.record_shed(shed);
         self.collector
@@ -412,27 +433,26 @@ impl Simulation {
     fn dispatch_event(&mut self, event: Event) {
         let mut out = std::mem::take(&mut self.scratch);
         out.clear();
+        let now = self.now;
         match event {
             Event::Boot { node } => {
-                self.with_node(node, &mut out, |n, now, out| n.boot_into(now, out));
+                self.nodes[node.as_usize()].boot_into(now, &mut out);
                 self.apply_output(node, &mut out);
             }
             Event::Wake { node } => {
                 self.collector.record_wake();
-                self.with_node(node, &mut out, |n, now, out| n.wake_into(now, out));
+                self.nodes[node.as_usize()].wake_into(now, &mut out);
                 self.apply_output(node, &mut out);
             }
             Event::Deliver { to, from, message } => {
-                self.with_node(to, &mut out, |n, now, out| {
-                    n.deliver_into(from, &message, now, out)
-                });
+                self.nodes[to.as_usize()].deliver_into(from, &message, now, &mut out);
                 self.apply_output(to, &mut out);
             }
             Event::Arrival { tx } => {
                 // Every processor ingests the transaction (clients
                 // broadcast submissions so any future leader can carry
                 // them); dedup-by-id keeps the copies from multiplying.
-                self.collector.record_submission(self.now, tx.id);
+                self.collector.record_submission(now, tx.id);
                 for node in &mut self.nodes {
                     node.submit_tx(tx);
                 }
@@ -448,7 +468,7 @@ impl Simulation {
     fn process_batch_parallel(&mut self, batch: &[Event]) {
         let len = batch.len();
         if self.batch_outputs.len() < len {
-            self.batch_outputs.resize_with(len, NodeOutput::default);
+            self.batch_outputs.resize_with(len, RuntimeOutput::default);
         }
         let mut outputs = std::mem::take(&mut self.batch_outputs);
         for out in &mut outputs[..len] {
@@ -460,7 +480,7 @@ impl Simulation {
             // Bucket (event, output-slot) pairs by owning shard; within a
             // shard, pop order is preserved, so same-node events still run
             // in sequence.
-            let mut per_shard: Vec<Vec<(&Event, &mut NodeOutput)>> =
+            let mut per_shard: Vec<Vec<(&Event, &mut RuntimeOutput)>> =
                 (0..self.shards).map(|_| Vec::new()).collect();
             for (event, out) in batch.iter().zip(outputs.iter_mut()) {
                 let target = event_target(event).expect("parallel batches hold node events only");
@@ -509,16 +529,7 @@ impl Simulation {
         self.batch_outputs = outputs;
     }
 
-    fn with_node<F>(&mut self, id: ProcessId, out: &mut NodeOutput, f: F)
-    where
-        F: FnOnce(&mut Node, Time, &mut NodeOutput),
-    {
-        let now = self.now;
-        let node = &mut self.nodes[id.as_usize()];
-        f(node, now, out);
-    }
-
-    fn apply_output(&mut self, from: ProcessId, out: &mut NodeOutput) {
+    fn apply_output(&mut self, from: ProcessId, out: &mut RuntimeOutput) {
         let honest = self.honesty[from.as_usize()];
         let now = self.now;
 
@@ -619,7 +630,7 @@ impl Simulation {
     /// certificate representation and under naive per-signer signature
     /// vectors (both computed analytically from the same message, so one
     /// run yields both curves).
-    fn record_auth(&mut self, msg: &SimMessage, copies: u64) {
+    fn record_auth(&mut self, msg: &WireMessage, copies: u64) {
         self.collector.record_auth_message(
             copies,
             msg.auth_bytes() as u64,
@@ -630,10 +641,10 @@ impl Simulation {
     }
 
     /// Schedules a delivery, letting the adversary schedule's per-edge delay
-    /// rules override the base [`DelayModel`](crate::network::DelayModel)
-    /// for this particular message. Every model keeps the delivery within
-    /// the `max(GST, send) + Δ` envelope.
-    fn schedule_delivery(&mut self, from: ProcessId, to: ProcessId, message: Arc<SimMessage>) {
+    /// rules override the base [`DelayModel`] for this particular message.
+    /// Every model keeps the delivery within the `max(GST, send) + Δ`
+    /// envelope.
+    fn schedule_delivery(&mut self, from: ProcessId, to: ProcessId, message: Arc<WireMessage>) {
         let from_honest = self.honesty[from.as_usize()];
         let to_honest = self.honesty[to.as_usize()];
         let model = self
@@ -651,7 +662,7 @@ impl Simulation {
     /// per-class delivery instant and stay symbolic; jittery models draw
     /// per-recipient inside `push_broadcast`, in ascending id order —
     /// exactly the RNG stream eager delivery consumes.
-    fn schedule_broadcast(&mut self, from: ProcessId, message: Arc<SimMessage>) {
+    fn schedule_broadcast(&mut self, from: ProcessId, message: Arc<WireMessage>) {
         let from_honest = self.honesty[from.as_usize()];
         let now = self.now;
         let gst = self.cfg.gst;
@@ -707,5 +718,52 @@ impl Simulation {
         self.readings.sort_unstable_by(|a, b| b.cmp(a));
         let gap = self.readings[0] - self.readings[f];
         self.collector.record_gap_sample(self.now, gap);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn exec_options_keep_the_default_when_unset() {
+        assert_eq!(ExecOptions::parse(None, None), Ok(ExecOptions::default()));
+    }
+
+    #[test]
+    fn exec_options_parse_every_accepted_value() {
+        assert_eq!(
+            ExecOptions::parse(Some(" 8 "), Some("eager")),
+            Ok(ExecOptions::default()
+                .with_shards(8)
+                .with_broadcast(BroadcastMode::Eager))
+        );
+        assert_eq!(
+            ExecOptions::parse(Some("0"), Some("symbolic")),
+            Ok(ExecOptions::default())
+        );
+    }
+
+    #[test]
+    fn exec_options_reject_an_unknown_shard_count() {
+        for bad in ["eight", "-1", ""] {
+            let message = ExecOptions::parse(Some(bad), None).unwrap_err();
+            assert!(
+                message.contains("LUMIERE_SIM_SHARDS") && message.contains("worker count"),
+                "{message}"
+            );
+        }
+    }
+
+    #[test]
+    fn exec_options_reject_an_unknown_broadcast_mode() {
+        for bad in ["eagre", "Eager", ""] {
+            let message = ExecOptions::parse(Some("2"), Some(bad)).unwrap_err();
+            assert!(
+                message.contains("LUMIERE_SIM_BROADCAST")
+                    && message.contains("`eager` or `symbolic`"),
+                "{message}"
+            );
+        }
     }
 }

@@ -1,24 +1,20 @@
 //! Scenario configuration: which protocol, how many processors, which faults,
 //! which network adversary.
 
-use crate::adversary::AdversarySchedule;
-use crate::byzantine::ByzBehavior;
 use crate::metrics::SimReport;
-use crate::network::DelayModel;
-use crate::node::Node;
 use crate::runner::Simulation;
 use crate::trace::Trace;
 use crate::workload::WorkloadConfig;
 use lumiere_consensus::HotStuffEngine;
 use lumiere_core::planted::PlantedBug;
 use lumiere_crypto::keygen;
+use lumiere_runtime::{AdversarySchedule, DelayModel, ProtocolRuntime, StrategyHost, StrategyKind};
 use lumiere_types::{Duration, Params, Time};
 use serde::{Deserialize, Serialize};
 
-/// The view-synchronization protocol under test (re-exported from
-/// `lumiere-runtime`, where it moved when the protocol was lifted out of the
-/// simulator — the live `lumiere-node` binary selects protocols by the same
-/// enum).
+/// The view-synchronization protocol under test (defined in
+/// `lumiere-runtime`: the live `lumiere-node` binary selects protocols by
+/// the same enum).
 pub use lumiere_runtime::ProtocolKind;
 
 /// Configuration of one simulated execution.
@@ -171,22 +167,22 @@ impl SimConfig {
         self
     }
 
-    /// Corrupts the **last** `f_a` processors with the given behaviour (the
+    /// Corrupts the **last** `f_a` processors with the given strategy (the
     /// convention every experiment in the repo uses unless it targets
     /// specific leaders). Shorthand for
     /// [`with_adversary`](Self::with_adversary) +
     /// [`AdversarySchedule::uniform`].
-    pub fn with_faults(self, f_a: usize, behavior: ByzBehavior) -> Self {
+    pub fn with_faults(self, f_a: usize, strategy: StrategyKind) -> Self {
         let ids: Vec<usize> = (self.n.saturating_sub(f_a)..self.n).collect();
-        self.with_adversary(AdversarySchedule::uniform(&ids, behavior))
+        self.with_adversary(AdversarySchedule::uniform(&ids, strategy))
     }
 
-    /// Corrupts exactly the given processors with the given behaviour.
+    /// Corrupts exactly the given processors with the given strategy.
     /// Shorthand for [`with_adversary`](Self::with_adversary) +
     /// [`AdversarySchedule::uniform`].
-    pub fn with_faulty_ids(self, mut ids: Vec<usize>, behavior: ByzBehavior) -> Self {
+    pub fn with_faulty_ids(self, mut ids: Vec<usize>, strategy: StrategyKind) -> Self {
         ids.sort_unstable();
-        self.with_adversary(AdversarySchedule::uniform(&ids, behavior))
+        self.with_adversary(AdversarySchedule::uniform(&ids, strategy))
     }
 
     /// Installs an adversary plan (strategy assignments plus per-edge delay
@@ -226,8 +222,9 @@ impl SimConfig {
         Params::new(self.n, self.delta_cap)
     }
 
-    /// Builds all processors for this configuration.
-    pub fn build_nodes(&self) -> Vec<Node> {
+    /// Builds all processors for this configuration: one [`StrategyHost`]
+    /// each, honest unless the adversary plan corrupts it.
+    pub fn build_nodes(&self) -> Vec<StrategyHost> {
         let params = self.params();
         assert!(
             self.f_a <= params.f,
@@ -259,7 +256,11 @@ impl SimConfig {
                 let strategy = schedule
                     .strategy_for(id.as_usize())
                     .map(|kind| kind.build());
-                Node::new(id, self.n, pacemaker, engine, strategy)
+                StrategyHost::new(
+                    ProtocolRuntime::new(id, pacemaker, engine),
+                    self.n,
+                    strategy,
+                )
             })
             .collect()
     }
@@ -318,7 +319,7 @@ mod tests {
     fn every_protocol_survives_silent_leaders() {
         for protocol in ProtocolKind::all() {
             let report = quick(protocol)
-                .with_faults(1, ByzBehavior::SilentLeader)
+                .with_faults(1, StrategyKind::SilentLeader)
                 .with_horizon(Duration::from_secs(8))
                 .run();
             assert!(
@@ -333,7 +334,7 @@ mod tests {
     fn every_protocol_survives_crash_faults() {
         for protocol in ProtocolKind::all() {
             let report = quick(protocol)
-                .with_faults(1, ByzBehavior::Crash)
+                .with_faults(1, StrategyKind::Crash)
                 .with_horizon(Duration::from_secs(8))
                 .run();
             assert!(
@@ -364,7 +365,7 @@ mod tests {
 
     #[test]
     fn fault_builders_corrupt_the_expected_processors() {
-        let cfg = SimConfig::new(ProtocolKind::Lumiere, 7).with_faults(2, ByzBehavior::Crash);
+        let cfg = SimConfig::new(ProtocolKind::Lumiere, 7).with_faults(2, StrategyKind::Crash);
         let schedule = cfg.effective_adversary();
         assert_eq!(
             schedule.corrupted_ids().into_iter().collect::<Vec<_>>(),
@@ -372,17 +373,14 @@ mod tests {
             "with_faults corrupts the last f_a processors"
         );
         assert_eq!(cfg.f_a, 2);
-        let cfg = cfg.with_faulty_ids(vec![3, 0], ByzBehavior::Crash);
+        let cfg = cfg.with_faulty_ids(vec![3, 0], StrategyKind::Crash);
         let schedule = cfg.effective_adversary();
         assert_eq!(
             schedule.corrupted_ids().into_iter().collect::<Vec<_>>(),
             vec![0, 3]
         );
         assert_eq!(cfg.f_a, 2);
-        assert_eq!(
-            schedule.strategy_for(3),
-            Some(crate::adversary::StrategyKind::Crash)
-        );
+        assert_eq!(schedule.strategy_for(3), Some(StrategyKind::Crash));
         assert!(schedule.delay_rules.is_empty());
     }
 
@@ -394,12 +392,12 @@ mod tests {
         assert!(schedule.delay_rules.is_empty());
         // The explicit schedule wins over any earlier fault builder.
         let cfg = cfg
-            .with_faults(2, ByzBehavior::Crash)
-            .with_adversary(AdversarySchedule::equivocation(&[1]));
+            .with_faults(2, StrategyKind::Crash)
+            .with_adversary(AdversarySchedule::uniform(&[1], StrategyKind::Equivocate));
         assert_eq!(cfg.f_a, 1);
         assert_eq!(
             cfg.effective_adversary().strategy_for(1),
-            Some(crate::adversary::StrategyKind::Equivocate)
+            Some(StrategyKind::Equivocate)
         );
     }
 
@@ -407,7 +405,7 @@ mod tests {
     #[should_panic(expected = "exceeds the tolerated")]
     fn too_many_faults_are_rejected() {
         let _ = SimConfig::new(ProtocolKind::Lumiere, 4)
-            .with_faults(2, ByzBehavior::Crash)
+            .with_faults(2, StrategyKind::Crash)
             .build_nodes();
     }
 
@@ -416,7 +414,10 @@ mod tests {
         let report = SimConfig::new(ProtocolKind::Lumiere, 7)
             .with_delta(Duration::from_millis(10))
             .with_actual_delay(Duration::from_millis(1))
-            .with_adversary(AdversarySchedule::equivocation(&[5, 6]))
+            .with_adversary(AdversarySchedule::uniform(
+                &[5, 6],
+                StrategyKind::Equivocate,
+            ))
             .with_horizon(Duration::from_secs(8))
             .with_max_honest_qcs(25)
             .run();
@@ -473,8 +474,8 @@ mod tests {
     fn invalid_adversary_schedules_are_rejected() {
         // Corrupting the same node twice passes the f_a head-count (the id
         // set deduplicates) but must fail schedule validation.
-        let schedule =
-            AdversarySchedule::equivocation(&[1]).corrupt(1, crate::adversary::StrategyKind::Crash);
+        let schedule = AdversarySchedule::uniform(&[1], StrategyKind::Equivocate)
+            .corrupt(1, StrategyKind::Crash);
         let _ = SimConfig::new(ProtocolKind::Lumiere, 4)
             .with_adversary(schedule)
             .build_nodes();

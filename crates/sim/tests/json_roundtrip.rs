@@ -7,9 +7,7 @@
 use lumiere_sim::metrics::{MetricsCollector, SimReport};
 use lumiere_sim::scenario::{ProtocolKind, SimConfig};
 use lumiere_sim::trace::{Trace, TraceKind};
-use lumiere_sim::{
-    AdversarySchedule, ByzBehavior, DelayModel, DelayRule, EdgeClass, MsgClass, StrategyKind,
-};
+use lumiere_sim::{AdversarySchedule, DelayModel, DelayRule, EdgeClass, MsgClass, StrategyKind};
 use lumiere_types::{Duration, ProcessId, Time, TimeRange, View};
 use proptest::collection;
 use proptest::prelude::*;
@@ -107,7 +105,7 @@ proptest! {
     fn sim_configs_round_trip(
         proto_idx in 0usize..7,
         n in 4usize..30,
-        behavior_idx in 0u32..3,
+        strategy_idx in 0u32..3,
         explicit_ids in 0u32..2,
         delay_kind in 0u32..3,
         gst_ms in 0i64..1_000,
@@ -116,19 +114,19 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let f = (n - 1) / 3;
-        let behavior = match behavior_idx {
-            0 => ByzBehavior::Crash,
-            1 => ByzBehavior::SilentLeader,
-            _ => ByzBehavior::SyncSilent,
+        let strategy = match strategy_idx {
+            0 => StrategyKind::Crash,
+            1 => StrategyKind::SilentLeader,
+            _ => StrategyKind::SyncSilent,
         };
         let mut config = SimConfig::new(protocol_from_index(proto_idx), n)
             .with_gst(Time::from_millis(gst_ms))
             .with_horizon(Duration::from_millis(horizon_ms))
             .with_seed(seed);
         config = if explicit_ids == 1 {
-            config.with_faulty_ids((0..f).collect(), behavior)
+            config.with_faulty_ids((0..f).collect(), strategy)
         } else {
-            config.with_faults(f, behavior)
+            config.with_faults(f, strategy)
         };
         config = match delay_kind {
             0 => config.with_actual_delay(Duration::from_millis(1)),
@@ -218,7 +216,7 @@ fn a_real_simulation_report_round_trips() {
     let (report, trace) = SimConfig::new(ProtocolKind::Lumiere, 7)
         .with_delta(Duration::from_millis(10))
         .with_actual_delay(Duration::from_millis(1))
-        .with_faults(2, ByzBehavior::SilentLeader)
+        .with_faults(2, StrategyKind::SilentLeader)
         .with_horizon(Duration::from_secs(3))
         .with_max_honest_qcs(20)
         .with_seed(42)

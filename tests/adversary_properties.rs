@@ -78,7 +78,7 @@ fn equivocation_and_partition_degrade_naive_but_not_lumiere() {
     let ids: Vec<usize> = (n - f..n).collect();
     let delta = Duration::from_millis(10);
     for schedule in [
-        AdversarySchedule::equivocation(&ids),
+        AdversarySchedule::uniform(&ids, StrategyKind::Equivocate),
         AdversarySchedule::targeted_partition(&ids, Duration::from_millis(1)),
     ] {
         let run = |protocol: ProtocolKind| {
@@ -170,7 +170,7 @@ proptest! {
         let delta_cap = Duration::from_millis(10);
         let gst = Time::from_millis(gst_ms);
         let send = Time::from_millis(send_ms);
-        let probe = lumiere_sim::event::SimMessage::Consensus(
+        let probe = lumiere_runtime::WireMessage::Consensus(
             lumiere_consensus::ConsensusMessage::NewQc(QuorumCert::genesis()),
         );
         let mut rng = StdRng::seed_from_u64(rng_seed);
