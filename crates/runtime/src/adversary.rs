@@ -806,47 +806,25 @@ mod tests {
 
     #[test]
     fn strategy_kinds_build_their_runtime_objects() {
-        // The static gates, where pinned, are
-        // `(runs_consensus, runs_pacemaker, proposes)` at boot.
-        for (kind, name, gates) in [
-            (StrategyKind::Crash, "crash", Some((false, false, false))),
-            (
-                StrategyKind::SilentLeader,
-                "silent-leader",
-                Some((true, true, false)),
-            ),
-            (
-                StrategyKind::SyncSilent,
-                "sync-silent",
-                Some((true, false, false)),
-            ),
-            (StrategyKind::Equivocate, "equivocate", None),
+        for (kind, name) in [
+            (StrategyKind::Crash, "crash"),
+            (StrategyKind::SilentLeader, "silent-leader"),
+            (StrategyKind::SyncSilent, "sync-silent"),
+            (StrategyKind::Equivocate, "equivocate"),
             (
                 StrategyKind::CrashRecovery {
                     down: TimeRange::new(Time::ZERO, Time::from_millis(5)),
                 },
                 "crash-recovery",
-                None,
             ),
             (
                 StrategyKind::AdaptiveLeaderTargeting,
                 "adaptive-leader-targeting",
-                None,
             ),
-            (StrategyKind::QcStarvation, "qc-starvation", None),
+            (StrategyKind::QcStarvation, "qc-starvation"),
         ] {
             assert_eq!(kind.name(), name);
-            let strategy = kind.build();
-            assert_eq!(strategy.name(), name);
-            if let Some(gates) = gates {
-                let ctx = ctx_at(Time::ZERO);
-                let actual = (
-                    strategy.runs_consensus(&ctx),
-                    strategy.runs_pacemaker(&ctx),
-                    strategy.proposes(&ctx),
-                );
-                assert_eq!(actual, gates, "{name} gates");
-            }
+            assert_eq!(kind.build().name(), name);
         }
         for kind in StrategyKind::SIMPLE {
             assert!(!matches!(kind, StrategyKind::CrashRecovery { .. }));

@@ -311,11 +311,21 @@ mod tests {
     }
 
     #[test]
+    fn crash_hosts_emit_nothing() {
+        let mut h = host(4, 0, Some(StrategyKind::Crash));
+        let out = boot(&mut h);
+        assert!(out.sends.is_empty());
+        assert!(out.broadcasts.is_empty());
+        assert!(out.entered_views.is_empty());
+        assert!(!h.is_honest());
+        assert_eq!(h.strategy_name(), Some("crash"));
+    }
+
+    #[test]
     fn crashed_hosts_emit_nothing_and_wakes_count_as_gated() {
         let mut h = host(4, 0, Some(StrategyKind::Crash));
         let mut out = boot(&mut h);
         assert!(out.is_empty(), "a crashed node must emit nothing at boot");
-        assert!(!h.is_honest());
         // Boot does not count as a gated event (matching the simulator),
         // but every subsequent swallowed wake does.
         assert_eq!(h.gated_total(), 0);

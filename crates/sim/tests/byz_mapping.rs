@@ -1,11 +1,8 @@
-//! Pins the legacy [`ByzBehavior`] shorthand to the strategy objects each
-//! variant maps onto, so the enum can never drift from what the simulator
-//! actually executes. (These checks lived in the `byzantine` module while it
-//! was a delegating file; the scale PR folded the module into a direct
-//! re-export and moved them here.)
+//! Pins the boot-time gates of the three paper-level Byzantine behaviours
+//! (crash, silent leader, sync-silent) to what the simulator executes, so a
+//! [`StrategyKind`] variant can never drift from the fault it models.
 
-use lumiere_sim::adversary::{ProtocolObs, StrategyCtx, StrategyKind};
-use lumiere_sim::byzantine::ByzBehavior;
+use lumiere_sim::{ProtocolObs, StrategyCtx, StrategyKind};
 use lumiere_types::{Duration, ProcessId, Time, View};
 
 fn ctx() -> StrategyCtx {
@@ -29,7 +26,7 @@ fn ctx() -> StrategyCtx {
 
 #[test]
 fn crash_does_nothing() {
-    let s = StrategyKind::from(ByzBehavior::Crash).build();
+    let s = StrategyKind::Crash.build();
     assert!(!s.runs_consensus(&ctx()));
     assert!(!s.runs_pacemaker(&ctx()));
     assert!(!s.proposes(&ctx()));
@@ -37,7 +34,7 @@ fn crash_does_nothing() {
 
 #[test]
 fn silent_leader_participates_but_never_proposes() {
-    let s = StrategyKind::from(ByzBehavior::SilentLeader).build();
+    let s = StrategyKind::SilentLeader.build();
     assert!(s.runs_consensus(&ctx()));
     assert!(s.runs_pacemaker(&ctx()));
     assert!(!s.proposes(&ctx()));
@@ -45,7 +42,7 @@ fn silent_leader_participates_but_never_proposes() {
 
 #[test]
 fn sync_silent_votes_but_does_not_synchronize() {
-    let s = StrategyKind::from(ByzBehavior::SyncSilent).build();
+    let s = StrategyKind::SyncSilent.build();
     assert!(s.runs_consensus(&ctx()));
     assert!(!s.runs_pacemaker(&ctx()));
     assert!(!s.proposes(&ctx()));
