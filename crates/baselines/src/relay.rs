@@ -20,7 +20,7 @@
 //! echoed signature sets, NK20 validates wishes and aggregates threshold
 //! signatures, improving the Byzantine-case expectation) does not affect the
 //! message/latency *shape* measured here; the [`RelayVariant`] only selects
-//! the reported protocol name. This simplification is recorded in DESIGN.md.
+//! the reported protocol name.
 
 use lumiere_consensus::QuorumCert;
 use lumiere_core::certs::{wish_digest, WishCert};

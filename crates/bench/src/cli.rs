@@ -1,33 +1,40 @@
-//! Command-line front end shared by the experiment binaries.
+//! Command-line front end of the `lumiere-bench` binary:
 //!
-//! Every `table1_*` / `figure1_timeline` / `heavy_syncs` / `honest_gap`
-//! binary accepts the same flags:
+//! ```text
+//! lumiere-bench [EXPERIMENT...] [--out DIR] [--threads N] [--full]
+//! lumiere-bench --check DIR
+//! lumiere-bench --diff DIR_A DIR_B
+//! ```
 //!
-//! | flag | effect |
+//! | argument | effect |
 //! |---|---|
-//! | `--out DIR` | persist every sweep cell as JSON under `DIR` (also via `LUMIERE_OUT`) |
+//! | `EXPERIMENT` | an [`ALL_EXPERIMENTS`] slug to run; none runs them all, in registry order |
+//! | `--out DIR` | persist every sweep cell as JSON under `DIR` |
 //! | `--threads N` | worker threads for the grid (default: available parallelism) |
-//! | `--full` | paper-scale sweeps (same as `LUMIERE_FULL=1`) |
+//! | `--full` | paper-scale sweeps |
 //! | `--check DIR` | load a report dir, round-trip every file, exit non-zero on failure |
 //! | `--diff A B` | diff two report dirs, exit non-zero when they differ |
 //! | `--help` | usage |
 //!
-//! The markdown report still goes to stdout, exactly as before; `--out` adds
-//! the persistent JSON cells (see `docs/REPORT_SCHEMA.md`). Output dirs are
-//! probed for writability *before* any simulation runs, so a typo in `--out`
-//! fails in milliseconds, not after the sweep.
+//! The markdown report goes to stdout, headed by a title line only when
+//! more than one experiment runs; `--out` adds the persistent JSON cells
+//! (see `docs/REPORT_SCHEMA.md`). Output dirs are probed for writability
+//! *before* any simulation runs, so a typo in `--out` fails in
+//! milliseconds, not after the sweep.
 
-use crate::experiments::{ExperimentDef, ExperimentRun, ExperimentScale};
+use crate::experiments::{experiment, ExperimentRun, ExperimentScale, ALL_EXPERIMENTS};
 use crate::grid::available_threads;
 use crate::report::{diff_cells, ensure_writable, load_dir, write_cells, SweepCell};
 use serde::json;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// Options for a sweep run, resolved from flags and environment variables.
+/// Options for a sweep run, resolved from the command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SweepOptions {
-    /// Sweep scale (`--full` / `LUMIERE_FULL=1` selects the paper scale).
+    /// Slugs of the experiments to run, in order.
+    pub experiments: Vec<&'static str>,
+    /// Sweep scale (`--full` selects the paper scale).
     pub scale: ExperimentScale,
     /// Worker threads for the experiment grids.
     pub threads: usize,
@@ -44,29 +51,35 @@ enum Command {
     Help,
 }
 
-fn usage(binary: &str) -> String {
+fn usage() -> String {
+    let slugs: Vec<&str> = ALL_EXPERIMENTS.iter().map(|def| def.slug).collect();
     format!(
-        "usage: {binary} [--out DIR] [--threads N] [--full]\n\
-        \x20      {binary} --check DIR\n\
-        \x20      {binary} --diff DIR_A DIR_B\n\
+        "usage: lumiere-bench [EXPERIMENT...] [--out DIR] [--threads N] [--full]\n\
+        \x20      lumiere-bench --check DIR\n\
+        \x20      lumiere-bench --diff DIR_A DIR_B\n\
          \n\
-         Runs the experiment sweep(s) and prints a markdown report to stdout.\n\
+         Runs the named experiment sweeps (all of them when none is named) and\n\
+         prints a markdown report to stdout.\n\
+         \n\
+         experiments: {}\n\
          \n\
          options:\n\
         \x20 --out DIR      write one JSON file per sweep cell under DIR\n\
-        \x20                (env: LUMIERE_OUT; format: docs/REPORT_SCHEMA.md)\n\
+        \x20                (format: docs/REPORT_SCHEMA.md)\n\
         \x20 --threads N    worker threads (default: available parallelism)\n\
-        \x20 --full         paper-scale sweeps (env: LUMIERE_FULL=1)\n\
+        \x20 --full         paper-scale sweeps\n\
         \x20 --check DIR    validate every report file in DIR (parse + round-trip)\n\
         \x20 --diff A B     compare two report directories\n\
-        \x20 --help         this message\n"
+        \x20 --help         this message\n",
+        slugs.join(" ")
     )
 }
 
 fn parse_args(args: &[String]) -> Result<Command, String> {
-    let mut out = std::env::var_os("LUMIERE_OUT").map(PathBuf::from);
+    let mut experiments: Vec<&'static str> = Vec::new();
+    let mut out: Option<PathBuf> = None;
     let mut threads: Option<usize> = None;
-    let mut scale = ExperimentScale::from_env();
+    let mut scale = ExperimentScale::Quick;
     let mut check: Option<PathBuf> = None;
     let mut diff: Option<(PathBuf, PathBuf)> = None;
     let mut iter = args.iter();
@@ -99,7 +112,14 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
                 diff = Some((a, b));
             }
             "--help" | "-h" => return Ok(Command::Help),
-            other => return Err(format!("unknown argument `{other}`")),
+            other if other.starts_with('-') => return Err(format!("unknown argument `{other}`")),
+            slug => {
+                let def = experiment(slug).ok_or_else(|| format!("unknown experiment `{slug}`"))?;
+                if experiments.contains(&def.slug) {
+                    return Err(format!("experiment `{slug}` named twice"));
+                }
+                experiments.push(def.slug);
+            }
         }
     }
     if let Some(dir) = check {
@@ -108,36 +128,37 @@ fn parse_args(args: &[String]) -> Result<Command, String> {
     if let Some((a, b)) = diff {
         return Ok(Command::Diff(a, b));
     }
+    if experiments.is_empty() {
+        experiments = ALL_EXPERIMENTS.iter().map(|def| def.slug).collect();
+    }
     Ok(Command::Run(SweepOptions {
+        experiments,
         scale,
         threads: threads.unwrap_or_else(available_threads),
         out,
     }))
 }
 
-/// Entry point shared by every experiment binary: parses the command line,
-/// runs (or checks, or diffs) and reports errors on stderr with a non-zero
-/// exit code.
-///
-/// `header` is printed before the reports when several experiments run
-/// (the `table1_all` umbrella binary).
-pub fn run_main(binary: &str, header: Option<&str>, experiments: &[&ExperimentDef]) -> ExitCode {
+/// Entry point of the `lumiere-bench` binary: parses the command line, runs
+/// (or checks, or diffs) and reports errors on stderr with a non-zero exit
+/// code (2 for a bad command line).
+pub fn run_main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let command = match parse_args(&args) {
         Ok(command) => command,
         Err(message) => {
-            eprintln!("error: {message}\n\n{}", usage(binary));
+            eprintln!("error: {message}\n\n{}", usage());
             return ExitCode::from(2);
         }
     };
     let result = match command {
         Command::Help => {
-            print!("{}", usage(binary));
+            print!("{}", usage());
             Ok(())
         }
         Command::Check(dir) => check_dir(&dir),
         Command::Diff(a, b) => return diff_dirs(&a, &b),
-        Command::Run(options) => run_sweeps(header, experiments, &options),
+        Command::Run(options) => run_sweeps(&options),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -148,20 +169,17 @@ pub fn run_main(binary: &str, header: Option<&str>, experiments: &[&ExperimentDe
     }
 }
 
-fn run_sweeps(
-    header: Option<&str>,
-    experiments: &[&ExperimentDef],
-    options: &SweepOptions,
-) -> Result<(), String> {
+fn run_sweeps(options: &SweepOptions) -> Result<(), String> {
     // Fail fast on an unwritable output dir — before minutes of sweeps.
     if let Some(dir) = &options.out {
         ensure_writable(dir)?;
     }
-    if let Some(header) = header {
-        println!("{header}\n");
+    if options.experiments.len() > 1 {
+        println!("# Lumiere reproduction — experiment reports\n");
     }
     let mut cells: Vec<SweepCell> = Vec::new();
-    for def in experiments {
+    for slug in &options.experiments {
+        let def = experiment(slug).expect("validated by parse_args");
         eprintln!("running {} ...", def.title);
         let ExperimentRun {
             markdown,
@@ -228,19 +246,20 @@ mod tests {
         args.iter().map(|s| s.to_string()).collect()
     }
 
+    fn all_slugs() -> Vec<&'static str> {
+        ALL_EXPERIMENTS.iter().map(|def| def.slug).collect()
+    }
+
     #[test]
     fn default_run_uses_available_parallelism() {
-        // No env mutation here: tests run concurrently and getenv/unsetenv
-        // races are undefined behaviour on glibc. `out` defaults to the
-        // ambient LUMIERE_OUT (unset in CI), so only its None-or-ambient
-        // contract is asserted.
+        // No flags: every experiment, quick scale, no output dir — nothing
+        // is read from the environment.
         match parse_args(&[]).unwrap() {
             Command::Run(options) => {
                 assert!(options.threads >= 1);
-                assert_eq!(
-                    options.out,
-                    std::env::var_os("LUMIERE_OUT").map(PathBuf::from)
-                );
+                assert_eq!(options.out, None);
+                assert_eq!(options.scale, ExperimentScale::Quick);
+                assert_eq!(options.experiments, all_slugs());
             }
             other => panic!("expected a run command, got {other:?}"),
         }
@@ -253,9 +272,21 @@ mod tests {
         assert_eq!(
             command,
             Command::Run(SweepOptions {
+                experiments: all_slugs(),
                 scale: ExperimentScale::Full,
                 threads: 4,
                 out: Some(PathBuf::from("/tmp/r")),
+            })
+        );
+        // Positional slugs pick the sweeps, in the order given, among flags.
+        let command = parse_args(&strings(&["scale", "--threads", "2", "table1_worst"])).unwrap();
+        assert_eq!(
+            command,
+            Command::Run(SweepOptions {
+                experiments: vec!["scale", "table1_worst"],
+                scale: ExperimentScale::Quick,
+                threads: 2,
+                out: None,
             })
         );
     }
@@ -280,5 +311,16 @@ mod tests {
         assert!(parse_args(&strings(&["--threads", "0"])).is_err());
         assert!(parse_args(&strings(&["--frobnicate"])).is_err());
         assert!(parse_args(&strings(&["--diff", "/tmp/a"])).is_err());
+        assert!(parse_args(&strings(&["no_such_experiment"])).is_err());
+        assert!(parse_args(&strings(&["scale", "load", "scale"])).is_err());
+        // The names of the former one-experiment binaries are not slugs.
+        for old in [
+            "table1_all",
+            "table1_worst_comm",
+            "scale_suite",
+            "figure1_timeline",
+        ] {
+            assert!(parse_args(&strings(&[old])).is_err(), "{old}");
+        }
     }
 }

@@ -26,21 +26,11 @@ use std::fmt::Write as _;
 pub enum ExperimentScale {
     /// Small sweeps that finish in seconds (default).
     Quick,
-    /// The reference sweeps recorded in `EXPERIMENTS.md` (set
-    /// `LUMIERE_FULL=1`).
+    /// The paper-scale reference sweeps (`lumiere-bench --full`).
     Full,
 }
 
 impl ExperimentScale {
-    /// Reads the scale from the `LUMIERE_FULL` environment variable.
-    pub fn from_env() -> Self {
-        if std::env::var("LUMIERE_FULL").is_ok_and(|v| v == "1") {
-            ExperimentScale::Full
-        } else {
-            ExperimentScale::Quick
-        }
-    }
-
     /// The name recorded in report files (`"quick"` / `"full"`).
     pub fn name(&self) -> &'static str {
         match self {
@@ -139,8 +129,8 @@ pub struct ExperimentDef {
     pub run: Experiment,
 }
 
-/// Named experiments, used by the `table1_all` binary and the integration
-/// tests.
+/// Named experiments: the slugs `lumiere-bench` accepts, in the order it
+/// runs them when none is named.
 pub const ALL_EXPERIMENTS: &[ExperimentDef] = &[
     ExperimentDef {
         slug: "table1_worst",
@@ -194,17 +184,10 @@ pub const ALL_EXPERIMENTS: &[ExperimentDef] = &[
     },
 ];
 
-/// Looks up an experiment by slug.
-///
-/// # Panics
-///
-/// Panics if the slug is not in [`ALL_EXPERIMENTS`] — the binaries pass
-/// compile-time constants.
-pub fn experiment(slug: &str) -> &'static ExperimentDef {
-    ALL_EXPERIMENTS
-        .iter()
-        .find(|def| def.slug == slug)
-        .unwrap_or_else(|| panic!("unknown experiment slug `{slug}`"))
+/// Looks up an experiment by slug (`None` when the slug is not in
+/// [`ALL_EXPERIMENTS`]).
+pub fn experiment(slug: &str) -> Option<&'static ExperimentDef> {
+    ALL_EXPERIMENTS.iter().find(|def| def.slug == slug)
 }
 
 /// Wraps a finished simulation into its persistable cell.
@@ -1333,17 +1316,7 @@ mod tests {
     }
 
     #[test]
-    fn scale_is_read_from_the_environment() {
-        // Read-only check against the ambient environment (mutating env vars
-        // from concurrently running tests is undefined behaviour on glibc):
-        // Full exactly when LUMIERE_FULL=1, Quick otherwise.
-        let expect_full = std::env::var("LUMIERE_FULL").is_ok_and(|v| v == "1");
-        let expected = if expect_full {
-            ExperimentScale::Full
-        } else {
-            ExperimentScale::Quick
-        };
-        assert_eq!(ExperimentScale::from_env(), expected);
+    fn scale_names_are_recorded_in_reports() {
         assert_eq!(ExperimentScale::Quick.name(), "quick");
         assert_eq!(ExperimentScale::Full.name(), "full");
     }
@@ -1353,26 +1326,28 @@ mod tests {
         assert_eq!(ALL_EXPERIMENTS.len(), 10);
         let slugs: BTreeSet<_> = ALL_EXPERIMENTS.iter().map(|d| d.slug).collect();
         assert_eq!(slugs.len(), 10, "experiment slugs must be unique");
-        assert_eq!(experiment("figure1").title, "figure1 (LP22 stall)");
-        assert_eq!(experiment("heavy_syncs").slug, "heavy_syncs");
-        assert_eq!(experiment("adversaries").slug, "adversaries");
+        assert_eq!(experiment("figure1").unwrap().title, "figure1 (LP22 stall)");
+        assert_eq!(experiment("heavy_syncs").unwrap().slug, "heavy_syncs");
+        assert_eq!(experiment("adversaries").unwrap().slug, "adversaries");
         assert_eq!(
-            experiment("scale").title,
+            experiment("scale").unwrap().title,
             "scale (O(n·f_a + n) vs Θ(n²) separation at large n)"
         );
         assert_eq!(
-            experiment("load").title,
+            experiment("load").unwrap().title,
             "load (throughput–latency saturation under open-loop client traffic)"
         );
         assert_eq!(
-            experiment("certificates").title,
+            experiment("certificates").unwrap().title,
             "certificates (constant-size aggregates vs naive signature vectors)"
         );
     }
 
     #[test]
-    #[should_panic(expected = "unknown experiment slug")]
     fn unknown_slugs_are_rejected() {
-        let _ = experiment("does_not_exist");
+        assert!(experiment("does_not_exist").is_none());
+        // Names of the former one-experiment binaries are not slugs.
+        assert!(experiment("table1_all").is_none());
+        assert!(experiment("scale_suite").is_none());
     }
 }

@@ -4,36 +4,33 @@
 //! Cogsworth/NK20, LP22, Fever and Lumiere on four measures), Figure 1 (a
 //! concrete LP22 failure scenario) and the four properties of Theorem 1.1.
 //! Each experiment here runs the corresponding simulated scenario for every
-//! protocol and prints the measured rows; `EXPERIMENTS.md` records a
-//! reference output and compares the measured *shape* with the paper's
-//! asymptotic claims.
+//! protocol and prints the measured rows, so the measured *shape* can be
+//! compared with the paper's asymptotic claims.
 //!
-//! Binaries (in `src/bin/`) wrap one experiment each:
+//! The `lumiere-bench` binary runs the experiments of [`ALL_EXPERIMENTS`]
+//! by slug (`lumiere-bench scale load`; no slug runs them all):
 //!
-//! | binary | paper artifact |
+//! | slug | paper artifact |
 //! |---|---|
-//! | `table1_worst_comm` | Table 1, worst-case communication (E1) |
-//! | `table1_worst_latency` | Table 1, worst-case latency (E3) |
-//! | `table1_eventual_comm` | Table 1, eventual worst-case communication (E2) |
-//! | `table1_eventual_latency` | Table 1, eventual worst-case latency (E4) |
+//! | `table1_worst` | Table 1, worst-case communication and latency (E1, E3) |
+//! | `table1_eventual` | Table 1, eventual worst-case communication and latency (E2, E4) |
 //! | `responsiveness` | Theorem 1.1(3), latency vs. actual delay δ |
-//! | `figure1_timeline` | Figure 1 |
+//! | `figure1` | Figure 1 |
 //! | `heavy_syncs` | Section 3.5 / Theorem 1.1(4), heavy-sync suppression |
 //! | `honest_gap` | Lemmas 5.9–5.12, honest-gap dynamics |
-//! | `scale_suite` | the O(n·f_a + n) vs Θ(n²) separation at n up to 512 |
-//! | `load_suite` | throughput–latency saturation under open-loop client load |
-//! | `table1_all` | runs everything above in sequence |
+//! | `adversaries` | the pluggable adversary strategies at `f_a = f` |
+//! | `scale` | the O(n·f_a + n) vs Θ(n²) separation at n up to 4096 ([`experiments::scale_table`]) |
+//! | `load` | throughput–latency saturation under open-loop client load |
+//! | `certificates` | constant-size aggregated certificates vs naive signature vectors |
 //!
-//! All experiments accept the environment variable `LUMIERE_FULL=1` (or the
-//! `--full` flag) to run the larger parameter sweeps used for the reference
-//! numbers; the default "quick" sweeps finish in well under a minute on a
-//! laptop.
+//! Every experiment defaults to a "quick" sweep that finishes in well under
+//! a minute on a laptop; `--full` runs the larger paper-scale sweeps.
 //!
-//! Two further binaries serve the perf story (`docs/PERFORMANCE.md`):
-//! `scale_suite` sweeps n up to 512 to show the O(n·f_a + n) vs Θ(n²)
-//! separation ([`experiments::scale_table`]), and `bench_gate` gates the
-//! `BENCH_*.json` files emitted by the adaptive criterion shim against the
-//! committed `BENCH_baseline.json` ([`perf`]).
+//! Two further binaries serve the perf and robustness stories:
+//! `bench_gate` gates the `BENCH_*.json` files emitted by the adaptive
+//! criterion shim against the committed `BENCH_baseline.json` ([`perf`],
+//! `docs/PERFORMANCE.md`), and `fuzz_adversary` searches the adversary
+//! space (below).
 //!
 //! # Persistent reports and parallel sweeps
 //!
@@ -46,8 +43,8 @@
 //! * [`report`] — every grid cell can be persisted as a JSON file
 //!   ([`report::SweepCell`], format in `docs/REPORT_SCHEMA.md`), loaded back,
 //!   and diffed across runs for regression checks;
-//! * [`cli`] — the shared `--out` / `--threads` / `--check` / `--diff`
-//!   front end of all ten binaries.
+//! * [`cli`] — the `lumiere-bench` command line: experiment slugs plus
+//!   `--out` / `--threads` / `--full` / `--check` / `--diff`.
 //!
 //! The adversary-fuzzing stack is a fourth pillar: [`fuzz`] (per-seed
 //! sampler, safety/liveness oracles, greedy minimizer), [`mutate`]

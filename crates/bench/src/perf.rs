@@ -172,7 +172,9 @@ pub fn merge_to_baseline(files: &[BenchFile]) -> Baseline {
     }
 }
 
-/// Loads the committed baseline file.
+/// Loads the committed baseline file. An entry with a zero calibration or a
+/// zero minimum is rejected: its normalized baseline would be ∞ or 0, and
+/// the gate would pass that benchmark at any speed.
 pub fn load_baseline(path: &Path) -> Result<Baseline, String> {
     let text =
         fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -184,6 +186,21 @@ pub fn load_baseline(path: &Path) -> Result<Baseline, String> {
             path.display(),
             baseline.schema_version
         ));
+    }
+    for entry in &baseline.entries {
+        for (field, value) in [
+            ("calibration_ns", entry.calibration_ns),
+            ("min_ns", entry.min_ns),
+        ] {
+            if value == 0 {
+                return Err(format!(
+                    "{}: entry {}/{} has {field} zero",
+                    path.display(),
+                    entry.harness,
+                    entry.name
+                ));
+            }
+        }
     }
     Ok(baseline)
 }
@@ -434,6 +451,37 @@ mod tests {
         let path = dir.join("BENCH_baseline.json");
         write_baseline(&path, &baseline).unwrap();
         assert_eq!(load_baseline(&path).unwrap(), baseline);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn baselines_with_zero_calibration_or_minimum_are_rejected() {
+        let dir = std::env::temp_dir().join(format!(
+            "lumiere-bench-zero-baseline-{}",
+            std::process::id()
+        ));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("BENCH_baseline.json");
+        let good = merge_to_baseline(&[file("crypto", 1000, &[("sign", 50), ("verify", 70)])]);
+        write_baseline(&path, &good).unwrap();
+        assert_eq!(load_baseline(&path).unwrap(), good);
+        let mut zero_calibration = good.clone();
+        zero_calibration.entries[1].calibration_ns = 0;
+        write_baseline(&path, &zero_calibration).unwrap();
+        let err = load_baseline(&path).unwrap_err();
+        assert!(
+            err.contains("crypto/verify") && err.contains("calibration_ns"),
+            "{err}"
+        );
+        let mut zero_min = good.clone();
+        zero_min.entries[0].min_ns = 0;
+        write_baseline(&path, &zero_min).unwrap();
+        let err = load_baseline(&path).unwrap_err();
+        assert!(
+            err.contains("crypto/sign") && err.contains("min_ns"),
+            "{err}"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -7,7 +7,7 @@
 //! pipeline capacity while the submit→commit percentiles inflate.
 //!
 //! Both tests run miniature grids (short horizons, few protocols): the full
-//! quick grid is exercised in release mode by CI's `load_suite` runs; in
+//! quick grid is exercised in release mode by CI's `lumiere-bench load` runs; in
 //! debug builds it would dominate the whole suite's wall clock.
 
 use lumiere_bench::grid::run_grid;

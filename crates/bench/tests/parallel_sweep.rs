@@ -2,7 +2,7 @@
 //! grid swept with 2 and with 8 worker threads has to produce byte-identical
 //! report files, and the loader must round-trip every one of them. (The
 //! release-mode equivalent over the real experiments is exercised in CI via
-//! `table1_all --out ... --threads N`.)
+//! `lumiere-bench --out ... --threads N`.)
 
 use lumiere_bench::grid::run_grid;
 use lumiere_bench::report::{diff_cells, load_dir, write_cells, SweepCell, SCHEMA_VERSION};

@@ -5,7 +5,7 @@
 //!   ~quadratically, and the steady-state epoch-boundary cost separates
 //!   Lumiere from LP22 the same way (scaled-down mirror of the `scale`
 //!   experiment, sized for debug-mode test runs; CI runs the real
-//!   `scale_suite` in release, whose cells assert `truncated == false`
+//!   `lumiere-bench scale` in release, whose cells assert `truncated == false`
 //!   internally);
 //! * no silent truncation at this scale, and an event cap that grows with n;
 //! * determinism at n = 256 — the same seed yields byte-identical reports,

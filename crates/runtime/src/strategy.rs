@@ -1,10 +1,10 @@
-//! The strategy host: a [`ProtocolRuntime`] wrapped in an
-//! [`AdversaryStrategy`] harness.
+//! The strategy host: a [`ProtocolRuntime`] wrapped in an adversary
+//! [`Strategy`] harness.
 //!
 //! The per-event gating flow — snapshot a [`StrategyCtx`], let a stateful
-//! strategy react to it, fold its per-component answers into [`Gates`],
-//! drive the runtime's gated entry points, and finally let the strategy
-//! rewrite the outgoing traffic — lives behind the runtime boundary so a
+//! strategy react to it, take its [`Gates`], drive the runtime's gated
+//! entry points, and finally let the strategy rewrite the outgoing
+//! traffic — lives behind the runtime boundary so a
 //! *live* `lumiere-node` process (`--strategy`) corrupts itself with
 //! byte-for-byte the same machinery the simulator uses in virtual time.
 //!
@@ -14,7 +14,7 @@
 //! hosts every processor, honest or not, in one. An honest host
 //! (`strategy = None`) adds no overhead beyond a branch per event.
 
-use crate::adversary::{AdversaryStrategy, ProtocolObs, StrategyCtx};
+use crate::adversary::{ProtocolObs, Strategy, StrategyCtx, StrategyKind};
 use crate::message::WireMessage;
 use crate::output::RuntimeOutput;
 use crate::runtime::{ConsensusRuntime, Gates, ProtocolRuntime};
@@ -31,11 +31,7 @@ use lumiere_types::{Duration, ProcessId, Time, Transaction, View};
 pub struct StrategyHost {
     n: usize,
     runtime: ProtocolRuntime,
-    strategy: Option<Box<dyn AdversaryStrategy>>,
-    /// Start-of-event [`StrategyCtx`] snapshot, taken once per event for
-    /// corrupted hosts and reused by every gating decision of that event
-    /// (honest hosts never build one).
-    event_ctx: Option<StrategyCtx>,
+    strategy: Option<Strategy>,
     /// Cumulative count of strategy-gated events and suppressed messages,
     /// measured as the per-event growth of [`RuntimeOutput::gated_events`]
     /// (which hosts reset between events). The live harness reads this back
@@ -48,16 +44,11 @@ impl StrategyHost {
     /// Wraps `runtime` in the gating harness. `strategy` is `None` for
     /// honest hosts; `n` is the cluster size (strategies need it to target
     /// recipients and size quorums).
-    pub fn new(
-        runtime: ProtocolRuntime,
-        n: usize,
-        strategy: Option<Box<dyn AdversaryStrategy>>,
-    ) -> Self {
+    pub fn new(runtime: ProtocolRuntime, n: usize, strategy: Option<StrategyKind>) -> Self {
         StrategyHost {
             n,
             runtime,
-            strategy,
-            event_ctx: None,
+            strategy: strategy.map(Strategy::new),
             gated_total: 0,
         }
     }
@@ -69,7 +60,7 @@ impl StrategyHost {
 
     /// The adversary strategy's name, if the host is corrupted.
     pub fn strategy_name(&self) -> Option<&'static str> {
-        self.strategy.as_ref().map(|s| s.name())
+        self.strategy.as_ref().map(|s| s.kind().name())
     }
 
     /// Total strategy-gated events and suppressed messages so far.
@@ -109,84 +100,42 @@ impl StrategyHost {
         self.runtime.slash_evidence()
     }
 
-    /// Snapshots the host's protocol state into a [`StrategyCtx`] for the
-    /// adversary strategy (cheap: a handful of field reads plus one scan of
-    /// the engine's pending-vote pools for the current view).
-    fn strategy_ctx(&self, now: Time) -> StrategyCtx {
-        let engine = self.runtime.engine();
-        StrategyCtx {
-            id: self.runtime.id(),
-            n: self.n,
-            now,
-            obs: ProtocolObs {
-                view: self.runtime.current_view(),
-                engine_view: engine.current_view(),
-                leader: engine.current_leader(),
-                locked_view: engine.locked_view(),
-                last_voted_view: engine.last_voted_view(),
-                high_qc_view: engine.high_qc().view(),
-                pending_qc_votes: engine.pending_votes(engine.current_view()),
-                clock: self.runtime.local_clock_reading(now),
-                booted: self.runtime.booted(),
-            },
-        }
-    }
-
-    /// Snapshots the event context once and lets a stateful strategy react
-    /// to it before the event is processed (adaptive corruption). Every
-    /// later gating decision of this event reuses the snapshot, so a
-    /// corrupted host pays one [`StrategyHost::strategy_ctx`] build per
-    /// event.
-    fn observe_strategy(&mut self, now: Time) {
-        if self.strategy.is_some() {
-            let ctx = self.strategy_ctx(now);
-            if let Some(strategy) = &mut self.strategy {
+    /// Starts an event: snapshots the host's protocol state once, lets a
+    /// stateful strategy react to it (adaptive corruption) and returns the
+    /// [`Gates`] the runtime's gated entry points take — fully open for
+    /// honest hosts. The gates read only the strategy and the
+    /// start-of-event snapshot, so they are constant for the event.
+    fn begin_event(&mut self, now: Time) -> Gates {
+        match &mut self.strategy {
+            Some(strategy) => {
+                let ctx = strategy_ctx(&self.runtime, self.n, now);
                 strategy.observe(&ctx);
+                strategy.gates(&ctx)
             }
-            self.event_ctx = Some(ctx);
+            None => Gates::OPEN,
         }
     }
 
-    /// Folds the strategy's per-event gating decisions into the [`Gates`]
-    /// the runtime's gated entry points take (fully open for honest hosts).
-    /// The decisions read only the strategy and the start-of-event snapshot,
-    /// so they are constant for the duration of the event.
-    fn gates(&self) -> Gates {
-        match (&self.strategy, &self.event_ctx) {
-            (Some(s), Some(ctx)) => Gates {
-                pacemaker: s.runs_pacemaker(ctx),
-                consensus: s.runs_consensus(ctx),
-                proposes: s.proposes(ctx),
-            },
-            _ => Gates::OPEN,
-        }
-    }
-
-    /// Applies the strategy's output rewrite (identity for honest hosts,
-    /// which pay no allocation here). The transform sees a *fresh*
-    /// post-event snapshot — an adaptive strategy rewriting its output must
-    /// react to what the event changed (e.g. the leader of a view entered
-    /// moments ago), not to the state the event started from.
+    /// Applies the strategy's output rewrite (nothing for honest hosts).
+    /// The rewrite sees a *fresh* post-event snapshot — an adaptive
+    /// strategy rewriting its output must react to what the event changed
+    /// (e.g. the leader of a view entered moments ago), not to the state
+    /// the event started from.
     fn finish(&mut self, now: Time, out: &mut RuntimeOutput) {
-        if self.strategy.is_some() {
-            let ctx = self.strategy_ctx(now);
-            if let Some(strategy) = &mut self.strategy {
-                let taken = std::mem::take(out);
-                *out = strategy.transform_output(&ctx, taken);
-            }
+        if let Some(strategy) = &mut self.strategy {
+            strategy.transform_output(&strategy_ctx(&self.runtime, self.n, now), out);
         }
     }
 
     /// Boots the host, appending its effects to `out`.
     pub fn boot_into(&mut self, now: Time, out: &mut RuntimeOutput) {
         let before = out.gated_events;
-        self.observe_strategy(now);
-        if let Some(strategy) = &self.strategy {
-            // Strategy-requested wake-ups (e.g. crash-recovery rejoin) are
-            // scheduled even while the node is dark.
-            out.wakes.extend(strategy.boot_wakes());
-        }
-        self.runtime.boot_gated(now, self.gates(), out);
+        let gates = self.begin_event(now);
+        // Strategy-requested wake-ups (the crash-recovery rejoin) are
+        // scheduled even while the node is dark.
+        out.wakes
+            .extend(self.strategy.as_ref().and_then(Strategy::boot_wake));
+        self.runtime.boot_gated(now, gates, out);
         self.finish(now, out);
         self.gated_total += (out.gated_events - before) as u64;
     }
@@ -194,8 +143,8 @@ impl StrategyHost {
     /// Fires a wake-up, appending its effects to `out`.
     pub fn wake_into(&mut self, now: Time, out: &mut RuntimeOutput) {
         let before = out.gated_events;
-        self.observe_strategy(now);
-        if !self.runtime.wake_gated(now, self.gates(), out) && self.strategy.is_some() {
+        let gates = self.begin_event(now);
+        if !self.runtime.wake_gated(now, gates, out) && self.strategy.is_some() {
             out.gated_events += 1;
         }
         self.finish(now, out);
@@ -211,16 +160,35 @@ impl StrategyHost {
         out: &mut RuntimeOutput,
     ) {
         let before = out.gated_events;
-        self.observe_strategy(now);
-        if !self
-            .runtime
-            .deliver_gated(from, msg, now, self.gates(), out)
-            && self.strategy.is_some()
-        {
+        let gates = self.begin_event(now);
+        if !self.runtime.deliver_gated(from, msg, now, gates, out) && self.strategy.is_some() {
             out.gated_events += 1;
         }
         self.finish(now, out);
         self.gated_total += (out.gated_events - before) as u64;
+    }
+}
+
+/// Snapshots a host's protocol state into a [`StrategyCtx`] for its
+/// adversary strategy (cheap: a handful of field reads plus one scan of the
+/// engine's pending-vote pools for the current view).
+fn strategy_ctx(runtime: &ProtocolRuntime, n: usize, now: Time) -> StrategyCtx {
+    let engine = runtime.engine();
+    StrategyCtx {
+        id: runtime.id(),
+        n,
+        now,
+        obs: ProtocolObs {
+            view: runtime.current_view(),
+            engine_view: engine.current_view(),
+            leader: engine.current_leader(),
+            locked_view: engine.locked_view(),
+            last_voted_view: engine.last_voted_view(),
+            high_qc_view: engine.high_qc().view(),
+            pending_qc_votes: engine.pending_votes(engine.current_view()),
+            clock: runtime.local_clock_reading(now),
+            booted: runtime.booted(),
+        },
     }
 }
 
@@ -272,14 +240,13 @@ impl ConsensusRuntime for StrategyHost {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::StrategyKind;
     use crate::protocol::{build_runtime, ProtocolKind};
     use lumiere_consensus::ConsensusMessage;
     use lumiere_types::TimeRange;
 
     fn host(n: usize, who: usize, strategy: Option<StrategyKind>) -> StrategyHost {
         let rt = build_runtime(ProtocolKind::Fever, n, who, Duration::from_millis(10), 2);
-        StrategyHost::new(rt, n, strategy.map(|k| k.build()))
+        StrategyHost::new(rt, n, strategy)
     }
 
     /// Boots `h` at time zero and returns what it emitted.

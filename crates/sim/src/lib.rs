@@ -10,12 +10,11 @@
 //!   message subject to delivery by `max(GST, send) + Δ`; pluggable
 //!   [`DelayModel`]s cover the responsive (`δ ≪ Δ`), adversarial (exactly
 //!   `Δ`) and randomized regimes.
-//! * The pluggable, state-reactive adversary: per-node
-//!   [`AdversaryStrategy`] trait objects (crash, silent leader,
-//!   equivocation, crash–recovery, and *adaptive* attacks — leader
-//!   targeting, QC starvation — that react mid-run to read-only
-//!   [`ProtocolObs`] snapshots) built from serializable [`StrategyKind`]s,
-//!   plus [`AdversarySchedule`] plans that also carry per-edge,
+//! * The pluggable, state-reactive adversary: per-node, serializable
+//!   [`StrategyKind`]s (crash, silent leader, equivocation, crash–recovery,
+//!   and *adaptive* attacks — leader targeting, QC starvation — that react
+//!   mid-run to read-only [`ProtocolObs`] snapshots), each run by a
+//!   [`Strategy`], plus [`AdversarySchedule`] plans that also carry per-edge,
 //!   time-windowed delay rules (targeted partitions). See
 //!   `docs/ADVERSARIES.md` for the mapping to the paper's attack arguments.
 //! * Both live in `lumiere-runtime` and are re-exported here. **The
@@ -79,7 +78,7 @@ pub use lumiere_core::planted::PlantedBug;
 // that still imports it.
 pub use lumiere_runtime::adversary::StrategyKind as ByzBehavior;
 pub use lumiere_runtime::adversary::{
-    AdversarySchedule, AdversaryStrategy, Corruption, DelayRule, EdgeClass, MsgClass, ProtocolObs,
+    AdversarySchedule, Corruption, DelayRule, EdgeClass, MsgClass, ProtocolObs, Strategy,
     StrategyCtx, StrategyKind,
 };
 pub use lumiere_runtime::DelayModel;

@@ -253,13 +253,10 @@ impl SimConfig {
                     self.planted_bug,
                 );
                 let engine = HotStuffEngine::new(id, k, pki.clone(), params);
-                let strategy = schedule
-                    .strategy_for(id.as_usize())
-                    .map(|kind| kind.build());
                 StrategyHost::new(
                     ProtocolRuntime::new(id, pacemaker, engine),
                     self.n,
-                    strategy,
+                    schedule.strategy_for(id.as_usize()),
                 )
             })
             .collect()

@@ -1,8 +1,9 @@
 //! Pins the boot-time gates of the three paper-level Byzantine behaviours
-//! (crash, silent leader, sync-silent) to what the simulator executes, so a
+//! (crash, silent leader, sync-silent) and of the equivocating and
+//! leader-targeting strategies to what the simulator executes, so a
 //! [`StrategyKind`] variant can never drift from the fault it models.
 
-use lumiere_sim::{ProtocolObs, StrategyCtx, StrategyKind};
+use lumiere_sim::{ProtocolObs, Strategy, StrategyCtx, StrategyKind};
 use lumiere_types::{Duration, ProcessId, Time, View};
 
 fn ctx() -> StrategyCtx {
@@ -26,24 +27,40 @@ fn ctx() -> StrategyCtx {
 
 #[test]
 fn crash_does_nothing() {
-    let s = StrategyKind::Crash.build();
-    assert!(!s.runs_consensus(&ctx()));
-    assert!(!s.runs_pacemaker(&ctx()));
-    assert!(!s.proposes(&ctx()));
+    let g = Strategy::new(StrategyKind::Crash).gates(&ctx());
+    assert!(!g.consensus);
+    assert!(!g.pacemaker);
+    assert!(!g.proposes);
 }
 
 #[test]
 fn silent_leader_participates_but_never_proposes() {
-    let s = StrategyKind::SilentLeader.build();
-    assert!(s.runs_consensus(&ctx()));
-    assert!(s.runs_pacemaker(&ctx()));
-    assert!(!s.proposes(&ctx()));
+    let g = Strategy::new(StrategyKind::SilentLeader).gates(&ctx());
+    assert!(g.consensus);
+    assert!(g.pacemaker);
+    assert!(!g.proposes);
 }
 
 #[test]
 fn sync_silent_votes_but_does_not_synchronize() {
-    let s = StrategyKind::SyncSilent.build();
-    assert!(s.runs_consensus(&ctx()));
-    assert!(!s.runs_pacemaker(&ctx()));
-    assert!(!s.proposes(&ctx()));
+    let g = Strategy::new(StrategyKind::SyncSilent).gates(&ctx());
+    assert!(g.consensus);
+    assert!(!g.pacemaker);
+    assert!(!g.proposes);
+}
+
+#[test]
+fn equivocate_runs_fully_open() {
+    let g = Strategy::new(StrategyKind::Equivocate).gates(&ctx());
+    assert!(g.consensus);
+    assert!(g.pacemaker);
+    assert!(g.proposes);
+}
+
+#[test]
+fn adaptive_leader_targeting_participates_but_never_proposes() {
+    let g = Strategy::new(StrategyKind::AdaptiveLeaderTargeting).gates(&ctx());
+    assert!(g.consensus);
+    assert!(g.pacemaker);
+    assert!(!g.proposes);
 }

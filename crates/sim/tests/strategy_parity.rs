@@ -51,8 +51,7 @@ struct Logged {
 
 fn strategy_host(i: usize, corrupted: usize, kind: StrategyKind) -> StrategyHost {
     let rt = lumiere_runtime::build_runtime(ProtocolKind::Lumiere, N, i, DELTA, SEED);
-    let strategy = (i == corrupted).then(|| kind.build());
-    StrategyHost::new(rt, N, strategy)
+    StrategyHost::new(rt, N, (i == corrupted).then_some(kind))
 }
 
 /// The processors the simulator builds for the same cluster.
