@@ -1,9 +1,8 @@
-//! The coverage-guided fuzzing loop: corpus, novelty search, generations.
+//! The adversary fuzzer's search loop: corpus, novelty search, generations.
 //!
-//! The flat sampler (`fuzz::run_fuzz`) explores the attack space blindly —
-//! every seed is drawn independently, so the search never learns. This
-//! module replaces it with a classic coverage-guided loop over the same
-//! space:
+//! Drawing every input independently explores the attack space blindly —
+//! the search never learns. This module runs a classic coverage-guided
+//! loop over the space of `fuzz::sample_config` instead:
 //!
 //! 1. every execution produces a deterministic behavioural
 //!    [`CoverageFingerprint`](lumiere_sim::CoverageFingerprint)
@@ -23,12 +22,10 @@
 //! an execution mutated or which fingerprint counts as novel, so the whole
 //! outcome — corpus, findings, rendered report — is byte-identical for every
 //! `--threads` value and across repeated runs. The per-execution RNG is
-//! seeded from the execution id alone, and fresh samples reuse
-//! `fuzz::sample_config(protocol, exec_id, quick)`, i.e. exactly the flat
-//! sampler's case for that id.
+//! seeded from the execution id alone, and fresh samples are
+//! `fuzz::sample_config(protocol, exec_id, quick)`.
 //!
-//! Findings are minimized with the same greedy loop as the flat fuzzer
-//! (`fuzz::minimize_config`).
+//! Findings are minimized with `fuzz::minimize_config`.
 
 use crate::fuzz::{minimize_config, sample_config, verdict, Finding, FuzzOptions};
 use crate::grid::run_grid;
@@ -201,7 +198,7 @@ impl CoverageOutcome {
         out.push_str(&table.render());
         let _ = writeln!(out);
         for finding in &self.findings {
-            let _ = writeln!(out, "{}", finding.render_line("exec"));
+            let _ = writeln!(out, "{}", finding.render_line());
         }
         let _ = writeln!(
             out,
@@ -230,12 +227,20 @@ pub fn run_coverage_fuzz(options: &FuzzOptions) -> CoverageOutcome {
         match load_corpus(dir) {
             Ok(entries) => {
                 let preloaded = entries.len();
+                // Mutated children inherit their parent's protocol, so an
+                // entry for another protocol would fuzz that protocol.
+                let matching: Vec<CorpusEntry> = entries
+                    .into_iter()
+                    .filter(|entry| entry.config.protocol == options.protocol)
+                    .collect();
+                let skipped = preloaded - matching.len();
                 let mut admitted = 0usize;
-                for entry in entries {
+                for entry in matching {
                     admitted += corpus.observe(entry) as usize;
                 }
                 eprintln!(
-                    "preloaded corpus from {}: {admitted} of {preloaded} entries novel",
+                    "preloaded corpus from {}: {admitted} of {preloaded} entries novel \
+                     ({skipped} skipped for another protocol)",
                     dir.display()
                 );
             }
@@ -315,20 +320,13 @@ pub fn run_coverage_fuzz(options: &FuzzOptions) -> CoverageOutcome {
 /// Writes one pretty-printed JSON file per corpus entry under `dir` and
 /// returns the paths, in discovery order.
 pub fn write_corpus(dir: &Path, corpus: &Corpus) -> Result<Vec<PathBuf>, String> {
-    crate::report::ensure_writable(dir)?;
-    let mut paths = Vec::with_capacity(corpus.len());
-    for (i, entry) in corpus.entries().iter().enumerate() {
-        // The leading discovery index keeps filenames unique even when a
-        // preloaded entry (from a previous run's id space) shares an exec
-        // id with a fresh one, and makes lexicographic order = discovery
-        // order, which is what `load_corpus` replays.
-        let path = dir.join(format!("corpus__{i:06}__exec{:06}.json", entry.id));
-        let mut text = json::to_string_pretty(entry);
-        text.push('\n');
-        std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        paths.push(path);
-    }
-    Ok(paths)
+    // The leading discovery index keeps filenames unique even when a
+    // preloaded entry (from a previous run's id space) shares an exec id
+    // with a fresh one, and makes lexicographic order = discovery order,
+    // which is what `load_corpus` replays.
+    crate::report::write_json_files(dir, corpus.entries(), |i, entry| {
+        format!("corpus__{i:06}__exec{:06}.json", entry.id)
+    })
 }
 
 /// Loads a persisted corpus directory: every `*.json` file under `dir`, in
@@ -432,6 +430,40 @@ mod tests {
         let loaded = load_corpus(&dir).unwrap();
         assert_eq!(loaded, corpus.entries());
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn preloaded_entries_for_another_protocol_are_skipped() {
+        // A mutated child clones its parent's config, protocol included, so
+        // a Lumiere entry preloaded into an lp22 run would fuzz Lumiere.
+        let dir =
+            std::env::temp_dir().join(format!("lumiere-corpus-protocol-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut preload = Corpus::new();
+        preload.observe(CorpusEntry {
+            config: crate::fuzz::sample_config(ProtocolKind::Lumiere, 0, true),
+            ..entry(0, "lumiere-entry")
+        });
+        write_corpus(&dir, &preload).unwrap();
+        let outcome = run_coverage_fuzz(&FuzzOptions {
+            protocol: ProtocolKind::Lp22,
+            seed_start: 0,
+            seed_end: 8,
+            threads: 2,
+            corpus_in: Some(dir.clone()),
+            ..FuzzOptions::default()
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(!outcome.corpus.is_empty());
+        for entry in outcome.corpus.entries() {
+            assert_eq!(
+                entry.config.protocol,
+                ProtocolKind::Lp22,
+                "corpus entry {} ({}) left the requested protocol",
+                entry.id,
+                entry.op
+            );
+        }
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! A deterministic, seed-driven fuzzer over the adversary strategy space.
+//! The adversary fuzzer's case space, oracles and findings.
 //!
 //! The paper's guarantees are worst-case over *all* Byzantine adversaries,
 //! so hand-picked scenarios can only ever sample the attack space. The
-//! fuzzer searches it: every seed deterministically expands into a random
-//! cluster size, fault assignment (any mix of
+//! fuzzer searches it. [`sample_config`] deterministically expands a seed
+//! into a random cluster size, fault assignment (any mix of
 //! [`StrategyKind`](lumiere_sim::StrategyKind)s up to `f` corruptions),
 //! GST, base delay model and up to a few per-edge
 //! [`DelayRule`](lumiere_sim::DelayRule)s — all inside the partial-synchrony
-//! envelope — and the resulting simulation is checked against two oracles:
+//! envelope — and every simulation is checked against two oracles
+//! ([`verdict`]):
 //!
 //! * **safety** — honest committed chains must stay prefix-consistent
 //!   (`SimReport::safety_ok`), equivocation attempts notwithstanding;
@@ -16,24 +17,22 @@
 //!   ([`liveness_bound`]). A run that exceeds the simulator's event cap
 //!   (`SimReport::truncated`) is also reported.
 //!
-//! Findings carry the reproducing seed and a **greedily minimized**
+//! Findings carry the reproducing execution id and a **greedily minimized**
 //! configuration ([`minimize_config`]): corruptions and delay rules are
 //! dropped one at a time while the verdict persists, so a report shows the
 //! smallest adversary that still breaks the property.
 //!
-//! Runs are scattered over worker threads with [`run_grid`] and reported in
-//! seed order, so the output is byte-identical for every `--threads` value.
+//! The search loop itself — corpus, mutation, generations — is
+//! [`crate::corpus::run_coverage_fuzz`]; this module also parses its
+//! command line ([`parse_args`]).
 
-use crate::grid::run_grid;
 use crate::mutate::{sample_rule, sample_strategy};
-use crate::table::TextTable;
 use lumiere_sim::{AdversarySchedule, PlantedBug, ProtocolKind, SimConfig, SimReport};
 use lumiere_types::{Duration, Time};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{json, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// The known delay bound Δ used by every fuzz case.
@@ -75,10 +74,10 @@ impl Verdict {
 pub struct FuzzOptions {
     /// Protocol under test.
     pub protocol: ProtocolKind,
-    /// Seeds `[start, end)` to expand into cases (in coverage mode, the
-    /// execution-budget range; execution ids double as sampling seeds).
+    /// Execution ids `[start, end)`: the execution budget. An execution
+    /// that samples fresh uses its id as the [`sample_config`] seed.
     pub seed_start: u64,
-    /// End of the seed range (exclusive).
+    /// End of the execution range (exclusive).
     pub seed_end: u64,
     /// Worker threads.
     pub threads: usize,
@@ -86,18 +85,15 @@ pub struct FuzzOptions {
     pub quick: bool,
     /// Where to persist finding JSON files, if anywhere.
     pub out: Option<PathBuf>,
-    /// Run the coverage-guided corpus/mutation loop
-    /// (`crate::corpus::run_coverage_fuzz`) instead of the flat sampler.
-    pub coverage: bool,
-    /// Generation (batch) size of the coverage loop: how many executions
+    /// Generation (batch) size of the loop: how many executions
     /// run between corpus-synchronization points.
     pub generation: usize,
-    /// Where to persist the final corpus (coverage mode only).
+    /// Where to persist the final corpus.
     pub corpus_out: Option<PathBuf>,
-    /// A previously persisted corpus to preload before the loop starts
-    /// (coverage mode only): its fingerprints seed the novelty set and its
-    /// entries are mutation parents from execution zero. A missing
-    /// directory is an empty preload — exactly the CI cache-miss case.
+    /// A previously persisted corpus to preload before the loop starts:
+    /// the entries for [`FuzzOptions::protocol`] seed the novelty set and
+    /// are mutation parents from execution zero. A missing directory is an
+    /// empty preload — exactly the CI cache-miss case.
     pub corpus_in: Option<PathBuf>,
     /// Fuzz a deliberately broken protocol variant instead of stock
     /// behaviour (fuzzer calibration; requires a build with the
@@ -114,7 +110,6 @@ impl Default for FuzzOptions {
             threads: crate::grid::available_threads(),
             quick: true,
             out: None,
-            coverage: false,
             generation: 16,
             corpus_out: None,
             corpus_in: None,
@@ -127,25 +122,23 @@ impl Default for FuzzOptions {
 pub fn usage(binary: &str) -> String {
     format!(
         "usage: {binary} [--seeds A..B] [--protocol NAME] [--threads N] [--quick|--deep]\n\
-        \x20               [--coverage] [--generation N] [--planted-bug NAME]\n\
+        \x20               [--generation N] [--planted-bug NAME]\n\
         \x20               [--out DIR] [--corpus-out DIR] [--corpus-in DIR]\n\
          \n\
-         Searches the adversary strategy/schedule space and reports any safety\n\
-         violation or liveness stall with a minimized configuration. The default\n\
-         mode samples one deterministic case per seed; --coverage runs the\n\
-         corpus + structural-mutation loop guided by behavioural coverage\n\
-         fingerprints (docs/ADVERSARIES.md). Exit code 1 when there are\n\
+         Searches the adversary strategy/schedule space with a corpus +\n\
+         structural-mutation loop guided by behavioural coverage fingerprints\n\
+         (docs/ADVERSARIES.md), and reports any safety violation or liveness\n\
+         stall with a minimized configuration. Exit code 1 when there are\n\
          findings; output is byte-identical for every --threads value.\n\
          \n\
          options:\n\
-        \x20 --seeds A..B       seed/execution range, half-open (default: 0..50)\n\
+        \x20 --seeds A..B       execution range, half-open (default: 0..50)\n\
         \x20 --protocol NAME    one of lumiere, basic-lumiere, lp22, fever,\n\
         \x20                    cogsworth, nk20, naive-quadratic (default: lumiere)\n\
         \x20 --threads N        worker threads (default: available parallelism)\n\
         \x20 --quick            small clusters, short horizons (default)\n\
         \x20 --deep             larger clusters (n up to 31), longer horizons\n\
-        \x20 --coverage         coverage-guided corpus/mutation loop\n\
-        \x20 --generation N     coverage batch size between corpus syncs (default: 16)\n\
+        \x20 --generation N     batch size between corpus syncs (default: 16)\n\
         \x20 --planted-bug NAME fuzz a deliberately broken variant (calibration;\n\
         \x20                    needs the planted-bugs feature): drop-timeout-rearm\n\
         \x20 --out DIR          write one JSON file per finding under DIR\n\
@@ -201,7 +194,6 @@ pub fn parse_args(args: &[String]) -> Result<Option<FuzzOptions>, String> {
             }
             "--quick" => options.quick = true,
             "--deep" => options.quick = false,
-            "--coverage" => options.coverage = true,
             "--generation" => {
                 let raw = value("--generation")?;
                 let parsed: usize = raw
@@ -245,9 +237,9 @@ pub fn liveness_bound(n: usize, delta: Duration) -> Duration {
 /// [`StrategyKind`](lumiere_sim::StrategyKind) — including the adaptive
 /// leader-targeting and QC-starvation attacks — plus crash–recovery with a
 /// random dark window), GST, the base delay model, and up to two per-edge
-/// delay rules (the same `crate::mutate` samplers the coverage loop
-/// mutates with). Everything stays inside the model: delays are clamped to
-/// Δ and at most `f` processors are corrupted.
+/// delay rules (the same `crate::mutate` samplers the loop mutates with).
+/// Everything stays inside the model: delays are clamped to Δ and at most
+/// `f` processors are corrupted.
 pub fn sample_config(protocol: ProtocolKind, seed: u64, quick: bool) -> SimConfig {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0xad5a_5a17);
     let ns: &[usize] = if quick {
@@ -316,43 +308,6 @@ pub fn verdict(report: &SimReport) -> Verdict {
     }
 }
 
-/// The outcome of one fuzz case.
-#[derive(Debug, Clone)]
-pub struct CaseResult {
-    /// The expanding seed.
-    pub seed: u64,
-    /// The sampled configuration.
-    pub config: SimConfig,
-    /// The oracle verdict.
-    pub verdict: Verdict,
-    /// Worst-case latency after GST, when an honest QC appeared at all.
-    pub latency: Option<Duration>,
-    /// The behavioural coverage fingerprint key the run produced
-    /// (`SimReport::coverage`) — the quantity the coverage-guided loop is
-    /// measured against.
-    pub fingerprint: String,
-}
-
-/// Runs one seed end to end. `planted` plants a calibration bug into the
-/// sampled configuration (see [`lumiere_core::planted`]).
-pub fn run_case(
-    protocol: ProtocolKind,
-    seed: u64,
-    quick: bool,
-    planted: Option<PlantedBug>,
-) -> CaseResult {
-    let mut config = sample_config(protocol, seed, quick);
-    config.planted_bug = planted;
-    let report = config.clone().run();
-    CaseResult {
-        seed,
-        verdict: verdict(&report),
-        latency: report.worst_case_latency(),
-        fingerprint: report.coverage.key(),
-        config,
-    }
-}
-
 /// Cap on candidate simulations one minimization may spend. A schedule has
 /// at most `f + 2` droppable parts, so the greedy walk converges well below
 /// this; the cap only guards pathological cases (each candidate is a full
@@ -405,11 +360,11 @@ pub fn minimize_config(config: &SimConfig, target: Verdict) -> SimConfig {
     }
 }
 
-/// A reportable finding: reproducing seed plus minimized configuration.
+/// A reportable finding: execution id plus minimized configuration.
 #[derive(Debug, Clone, Serialize)]
 pub struct Finding {
-    /// Seed that reproduces the finding via [`sample_config`] (in coverage
-    /// mode, the execution id; the embedded config is the ground truth).
+    /// The execution id that produced the finding (the embedded config is
+    /// the ground truth for a replay).
     pub seed: u64,
     /// Oracle verdict name.
     pub verdict: Verdict,
@@ -418,10 +373,9 @@ pub struct Finding {
 }
 
 impl Finding {
-    /// The one-line `FINDING ...` rendering shared by the flat and the
-    /// coverage reports (and grepped by the CI planted-bug check);
-    /// `id_label` names the id field (`"seed"` or `"exec"`).
-    pub fn render_line(&self, id_label: &str) -> String {
+    /// The one-line `FINDING ...` rendering of the report (grepped by the
+    /// CI planted-bug check).
+    pub fn render_line(&self) -> String {
         let schedule = self.config.effective_adversary();
         let strategies: Vec<String> = schedule
             .corruptions
@@ -429,7 +383,7 @@ impl Finding {
             .map(|c| format!("p{}:{}", c.node, c.strategy.name()))
             .collect();
         format!(
-            "FINDING {id_label}={} verdict={} n={} f_a={} strategies=[{}] delay_rules={}",
+            "FINDING exec={} verdict={} n={} f_a={} strategies=[{}] delay_rules={}",
             self.seed,
             self.verdict.name(),
             self.config.n,
@@ -440,136 +394,14 @@ impl Finding {
     }
 }
 
-/// The outcome of a whole fuzz run.
-#[derive(Debug, Clone)]
-pub struct FuzzOutcome {
-    /// Options the run used.
-    pub options: FuzzOptions,
-    /// Per-seed results, in seed order.
-    pub results: Vec<CaseResult>,
-    /// Minimized findings, in seed order.
-    pub findings: Vec<Finding>,
-}
-
-impl FuzzOutcome {
-    /// Renders the deterministic report (identical for every thread count).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "## Adversary fuzz — {} seeds {}..{} ({}{})\n",
-            self.options.protocol.name(),
-            self.options.seed_start,
-            self.options.seed_end,
-            if self.options.quick { "quick" } else { "deep" },
-            match self.options.planted {
-                Some(bug) => format!(", planted bug: {}", bug.name()),
-                None => String::new(),
-            },
-        );
-        // Aggregate per cluster size: cases and the worst latency seen.
-        let mut table = TextTable::new(vec![
-            "n",
-            "cases",
-            "ok",
-            "findings",
-            "max latency after GST (ms)",
-            "bound (ms)",
-        ]);
-        let mut ns: Vec<usize> = self.results.iter().map(|r| r.config.n).collect();
-        ns.sort_unstable();
-        ns.dedup();
-        for n in ns {
-            let rows: Vec<&CaseResult> = self.results.iter().filter(|r| r.config.n == n).collect();
-            let ok = rows.iter().filter(|r| r.verdict == Verdict::Ok).count();
-            let max_latency = rows
-                .iter()
-                .filter_map(|r| r.latency)
-                .max()
-                .map(|d| format!("{:.1}", d.as_millis_f64()))
-                .unwrap_or_else(|| "-".to_string());
-            table.push_row(vec![
-                n.to_string(),
-                rows.len().to_string(),
-                ok.to_string(),
-                (rows.len() - ok).to_string(),
-                max_latency,
-                format!("{:.0}", liveness_bound(n, FUZZ_DELTA).as_millis_f64()),
-            ]);
-        }
-        out.push_str(&table.render());
-        let _ = writeln!(out);
-        for finding in &self.findings {
-            let _ = writeln!(out, "{}", finding.render_line("seed"));
-        }
-        let _ = writeln!(
-            out,
-            "fuzz: {} cases, {} distinct fingerprints, {} findings ({} safety, {} stalls, {} truncated)",
-            self.results.len(),
-            self.distinct_fingerprints(),
-            self.findings.len(),
-            self.count(Verdict::SafetyViolation),
-            self.count(Verdict::LivenessStall),
-            self.count(Verdict::Truncated),
-        );
-        out
-    }
-
-    /// Number of distinct coverage fingerprints the flat sampler reached —
-    /// the baseline the coverage-guided loop must beat at an equal budget.
-    pub fn distinct_fingerprints(&self) -> usize {
-        self.results
-            .iter()
-            .map(|r| r.fingerprint.as_str())
-            .collect::<BTreeSet<_>>()
-            .len()
-    }
-
-    fn count(&self, v: Verdict) -> usize {
-        self.results.iter().filter(|r| r.verdict == v).count()
-    }
-}
-
-/// Runs the fuzzer: expands every seed, simulates in parallel via
-/// [`run_grid`], minimizes findings, and returns the deterministic outcome.
-pub fn run_fuzz(options: &FuzzOptions) -> FuzzOutcome {
-    let seeds: Vec<u64> = (options.seed_start..options.seed_end).collect();
-    let protocol = options.protocol;
-    let quick = options.quick;
-    let planted = options.planted;
-    let results = run_grid(seeds, options.threads, |seed| {
-        run_case(protocol, seed, quick, planted)
-    });
-    let findings = results
-        .iter()
-        .filter(|r| r.verdict.is_finding())
-        .map(|r| Finding {
-            seed: r.seed,
-            verdict: r.verdict,
-            config: minimize_config(&r.config, r.verdict),
-        })
-        .collect();
-    FuzzOutcome {
-        options: options.clone(),
-        results,
-        findings,
-    }
-}
-
 /// Writes one pretty-printed JSON file per finding under `dir` and returns
-/// the paths, in seed order. The file embeds the minimized `SimConfig`, so
-/// `docs/ADVERSARIES.md`'s replay recipe can rebuild the run exactly.
+/// the paths, in execution order. The file embeds the minimized
+/// `SimConfig`, so `docs/ADVERSARIES.md`'s replay recipe can rebuild the
+/// run exactly.
 pub fn write_findings(dir: &Path, findings: &[Finding]) -> Result<Vec<PathBuf>, String> {
-    crate::report::ensure_writable(dir)?;
-    let mut paths = Vec::with_capacity(findings.len());
-    for finding in findings {
-        let path = dir.join(format!("finding__seed{:06}.json", finding.seed));
-        let mut text = json::to_string_pretty(finding);
-        text.push('\n');
-        std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        paths.push(path);
-    }
-    Ok(paths)
+    crate::report::write_json_files(dir, findings, |_, finding| {
+        format!("finding__seed{:06}.json", finding.seed)
+    })
 }
 
 #[cfg(test)]
@@ -614,6 +446,8 @@ mod tests {
         assert!(parse_args(&strings(&["--protocol", "nope"])).is_err());
         assert!(parse_args(&strings(&["--threads", "0"])).is_err());
         assert!(parse_args(&strings(&["--frobnicate"])).is_err());
+        // The coverage-guided loop is the only mode; its old switch is gone.
+        assert!(parse_args(&strings(&["--coverage"])).is_err());
     }
 
     #[test]
@@ -666,25 +500,5 @@ mod tests {
         assert!(schedule.delay_rules.is_empty());
         assert_eq!(minimal.f_a, 0);
         assert_eq!(verdict(&minimal.run()), Verdict::Ok);
-    }
-
-    #[test]
-    fn a_small_fuzz_batch_is_clean_and_thread_invariant() {
-        let mut options = FuzzOptions {
-            seed_start: 0,
-            seed_end: 6,
-            threads: 1,
-            ..FuzzOptions::default()
-        };
-        let serial = run_fuzz(&options);
-        assert_eq!(serial.results.len(), 6);
-        assert!(
-            serial.findings.is_empty(),
-            "Lumiere must survive the sampled adversaries: {}",
-            serial.render()
-        );
-        options.threads = 4;
-        let parallel = run_fuzz(&options);
-        assert_eq!(serial.render(), parallel.render());
     }
 }

@@ -31,10 +31,11 @@ pub const MAX_RULES: usize = 6;
 /// The first seven perturb the adversary schedule; the last four perturb
 /// the run's environment (GST position, network-jitter seed, cluster size,
 /// base delay model) while keeping the attack structure intact. Several of
-/// them deliberately escape the flat sampler's envelope — schedules with up
-/// to [`MAX_RULES`] rules instead of two, windows and GSTs drifted far past
-/// the sampler's ranges — which is where the coverage-guided loop finds
-/// behaviours random sampling essentially never produces.
+/// them deliberately escape the envelope of fresh samples
+/// (`fuzz::sample_config`) — schedules with up to [`MAX_RULES`] rules
+/// instead of two, windows and GSTs drifted far past the sampler's ranges —
+/// which is where the coverage-guided loop finds behaviours random sampling
+/// essentially never produces.
 pub const MUTATION_NAMES: [&str; 11] = [
     "add-rule",
     "remove-rule",
@@ -50,13 +51,13 @@ pub const MUTATION_NAMES: [&str; 11] = [
 ];
 
 /// How far one shift-window / shift-gst application may move (ms, each
-/// direction). Larger than the flat sampler's whole window range, so
+/// direction). Larger than `fuzz::sample_config`'s whole window range, so
 /// iterated mutation walks windows into run regions the sampler never
 /// touches.
 const SHIFT_RANGE_MS: i64 = 800;
 
 /// Samples one per-node strategy, covering every [`StrategyKind::SIMPLE`]
-/// kind plus crash–recovery with a random dark window. Shared by the flat
+/// kind plus crash–recovery with a random dark window. Shared by the fresh
 /// sampler (`fuzz::sample_config`) and the swap/add mutators so all three
 /// explore the same strategy space.
 pub fn sample_strategy(rng: &mut StdRng) -> StrategyKind {
@@ -73,7 +74,7 @@ pub fn sample_strategy(rng: &mut StdRng) -> StrategyKind {
     }
 }
 
-/// Samples one per-edge delay rule (also shared with the flat sampler).
+/// Samples one per-edge delay rule (also shared with `fuzz::sample_config`).
 pub fn sample_rule(rng: &mut StdRng) -> DelayRule {
     let edge = EdgeClass::ALL[rng.gen_range(0..EdgeClass::ALL.len())];
     let msg = MsgClass::ALL[rng.gen_range(0..MsgClass::ALL.len())];
@@ -279,7 +280,7 @@ fn apply(
 /// The chain is deliberately deep: a single operator rarely moves the
 /// behavioural fingerprint, while a multi-step walk lands in parts of the
 /// enlarged mutation space (rule stacks, drifted windows, resized clusters)
-/// that the flat sampler's envelope never reaches — empirically that is
+/// that fresh samples' envelope never reaches — empirically that is
 /// what makes the coverage loop out-explore pure random sampling at equal
 /// budgets. Each operator is drawn at random; inapplicable operators fall
 /// through cyclically, and shift-gst / reseed-jitter are always applicable,

@@ -106,19 +106,31 @@ pub fn ensure_writable(dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Writes every cell under `dir` (one pretty-printed JSON file each) and
-/// returns the paths written, in cell order.
-pub fn write_cells(dir: &Path, cells: &[SweepCell]) -> Result<Vec<PathBuf>, String> {
+/// Writes one pretty-printed JSON file (with a trailing newline) per item
+/// under `dir`, named `file_name(index, item)`, and returns the paths
+/// written, in item order. The shared writer behind sweep cells, fuzz
+/// findings and corpus entries.
+pub fn write_json_files<T: Serialize>(
+    dir: &Path,
+    items: &[T],
+    file_name: impl Fn(usize, &T) -> String,
+) -> Result<Vec<PathBuf>, String> {
     ensure_writable(dir)?;
-    let mut paths = Vec::with_capacity(cells.len());
-    for cell in cells {
-        let path = dir.join(cell.filename());
-        let mut text = json::to_string_pretty(cell);
+    let mut paths = Vec::with_capacity(items.len());
+    for (i, item) in items.iter().enumerate() {
+        let path = dir.join(file_name(i, item));
+        let mut text = json::to_string_pretty(item);
         text.push('\n');
         fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         paths.push(path);
     }
     Ok(paths)
+}
+
+/// Writes every cell under `dir` (one pretty-printed JSON file each) and
+/// returns the paths written, in cell order.
+pub fn write_cells(dir: &Path, cells: &[SweepCell]) -> Result<Vec<PathBuf>, String> {
+    write_json_files(dir, cells, |_, cell| cell.filename())
 }
 
 /// Loads one report file, checking the schema version.

@@ -7,7 +7,7 @@
 //! so any behavioural drift of the simulator, the adversary layer or the
 //! fingerprint definition surfaces as a named, replayable diff instead of a
 //! silent change. (An *intentional* behaviour change regenerates the files
-//! with `fuzz_adversary --coverage --corpus-out`.)
+//! with `fuzz_adversary --corpus-out`.)
 
 use lumiere_bench::corpus::load_corpus_entry;
 use lumiere_bench::fuzz::verdict;

@@ -1,12 +1,14 @@
 //! The coverage-guided loop's acceptance test: at an equal execution
 //! budget, the corpus + structural-mutation loop must reach strictly more
-//! distinct coverage fingerprints than the flat seed sampler — otherwise
-//! the whole subsystem is decoration. Also pins the basic shape of the
-//! outcome (generation accounting, corpus growth, zero findings on stock
-//! Lumiere).
+//! distinct coverage fingerprints than the flat seed sampler — one fresh
+//! `sample_config` per execution id — otherwise the whole subsystem is
+//! decoration. Also pins the basic shape of the outcome (generation
+//! accounting, corpus growth, zero findings on stock Lumiere).
 
 use lumiere_bench::corpus::run_coverage_fuzz;
-use lumiere_bench::fuzz::{run_fuzz, FuzzOptions};
+use lumiere_bench::fuzz::{sample_config, verdict, FuzzOptions, Verdict};
+use lumiere_sim::ProtocolKind;
+use std::collections::BTreeSet;
 
 /// The budget at which the separation is asserted. Empirically the
 /// coverage loop pulls ahead from ~60 executions on and widens from there
@@ -22,21 +24,27 @@ fn coverage_loop_beats_the_flat_sampler_at_an_equal_budget() {
         threads: 2,
         ..FuzzOptions::default()
     };
-    let flat = run_fuzz(&options);
+    // The flat sampler: every id drawn independently, no corpus.
+    let flat_runs = lumiere_bench::run_grid((0..BUDGET).collect(), 2, |id| {
+        let report = sample_config(ProtocolKind::Lumiere, id, true).run();
+        (id, verdict(&report), report.coverage.key())
+    });
+    let flat = flat_runs
+        .iter()
+        .map(|(_, _, key)| key)
+        .collect::<BTreeSet<_>>()
+        .len();
     let coverage = run_coverage_fuzz(&options);
     assert!(
-        coverage.distinct_fingerprints() > flat.distinct_fingerprints(),
+        coverage.distinct_fingerprints() > flat,
         "coverage-guided search must out-explore blind sampling at an equal \
-         budget: coverage reached {} distinct fingerprints, flat reached {}",
+         budget: coverage reached {} distinct fingerprints, flat reached {flat}",
         coverage.distinct_fingerprints(),
-        flat.distinct_fingerprints(),
     );
     // Stock Lumiere survives both searches.
-    assert!(
-        flat.findings.is_empty(),
-        "flat sampler found:\n{}",
-        flat.render()
-    );
+    for (id, verdict, _) in &flat_runs {
+        assert_eq!(*verdict, Verdict::Ok, "flat sampler found seed {id}");
+    }
     assert!(
         coverage.findings.is_empty(),
         "coverage loop found:\n{}",

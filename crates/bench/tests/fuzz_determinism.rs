@@ -1,11 +1,11 @@
 //! Determinism of the adversary fuzzer end to end: the same seed expands to
 //! the same case, the same case produces a byte-identical `SimReport` JSON
-//! rendering, and the parallel driver's report is invariant under the
-//! worker-thread count. Also pins the finding-file writer.
+//! rendering, and a parsed command line drives a repeatable run (thread
+//! invariance is `coverage_determinism.rs`). Also pins the finding-file
+//! writer.
 
-use lumiere_bench::fuzz::{
-    self, parse_args, run_fuzz, sample_config, Finding, FuzzOptions, Verdict,
-};
+use lumiere_bench::corpus::run_coverage_fuzz;
+use lumiere_bench::fuzz::{self, parse_args, sample_config, Finding, Verdict};
 use lumiere_sim::{ProtocolKind, SimReport};
 use serde::json;
 use std::fs;
@@ -28,54 +28,16 @@ fn same_seed_and_schedule_give_byte_identical_report_json() {
 }
 
 #[test]
-fn fuzz_driver_output_is_invariant_under_thread_count() {
-    let base = FuzzOptions {
-        protocol: ProtocolKind::Lumiere,
-        seed_start: 0,
-        seed_end: 10,
-        threads: 1,
-        quick: true,
-        out: None,
-        ..FuzzOptions::default()
-    };
-    let serial = run_fuzz(&base);
-    for threads in [2usize, 4, 16] {
-        let parallel = run_fuzz(&FuzzOptions {
-            threads,
-            ..base.clone()
-        });
-        assert_eq!(
-            serial.render(),
-            parallel.render(),
-            "threads={threads} changed the fuzz report"
-        );
-        // The underlying per-case reports agree byte for byte, not just the
-        // rendered summary.
-        for (a, b) in serial.results.iter().zip(&parallel.results) {
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.config, b.config);
-            assert_eq!(a.verdict, b.verdict);
-            assert_eq!(a.latency, b.latency);
-        }
-    }
-    assert!(
-        serial.findings.is_empty(),
-        "Lumiere produced findings:\n{}",
-        serial.render()
-    );
-}
-
-#[test]
 fn parsed_cli_options_drive_the_same_deterministic_run() {
     let args: Vec<String> = ["--seeds", "3..6", "--threads", "2", "--quick"]
         .iter()
         .map(|s| s.to_string())
         .collect();
     let options = parse_args(&args).unwrap().unwrap();
-    let a = run_fuzz(&options);
-    let b = run_fuzz(&options);
+    let a = run_coverage_fuzz(&options);
+    let b = run_coverage_fuzz(&options);
     assert_eq!(a.render(), b.render());
-    assert_eq!(a.results.len(), 3);
+    assert_eq!(a.executions, 3);
 }
 
 #[test]

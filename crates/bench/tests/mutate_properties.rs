@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Deterministically expands compact proptest arguments into a well-formed
-/// starting configuration (the same shape the flat sampler emits).
+/// starting configuration (the same shape `fuzz::sample_config` emits).
 fn config_from(n_pick: usize, f_a: usize, build_seed: u64, rules: usize) -> SimConfig {
     let ns = [4usize, 7, 10, 13];
     let n = ns[n_pick % ns.len()];

@@ -23,7 +23,7 @@ use crate::message::WireMessage;
 use crate::output::RuntimeOutput;
 use crate::runtime::ConsensusRuntime;
 use crate::transport::{Transport, TransportError};
-use lumiere_types::{Duration, ProcessId, Time, Transaction, TxId, View};
+use lumiere_types::{percentile, Duration, ProcessId, Time, Transaction, TxId, View};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, HashSet};
@@ -144,18 +144,6 @@ pub fn check_agreement(summaries: &[DriverSummary]) -> Result<usize, String> {
         }
     }
     Ok(shortest)
-}
-
-/// Nearest-rank percentile (in wall-clock milliseconds) over an
-/// ascending-sorted latency sample; 0 on an empty sample.
-fn percentile_ms(sorted_micros: &[i64], p: u64) -> f64 {
-    if sorted_micros.is_empty() {
-        return 0.0;
-    }
-    let rank = (sorted_micros.len() as u64 * p)
-        .div_ceil(100)
-        .clamp(1, sorted_micros.len() as u64);
-    sorted_micros[rank as usize - 1] as f64 / 1_000.0
 }
 
 /// Book-keeping for the driver's open-loop client load: wall-clock submit
@@ -337,9 +325,9 @@ pub fn run<R: ConsensusRuntime, T: Transport>(
         gated_events,
         txs_submitted: txs.submitted,
         txs_committed: txs.committed.len() as u64,
-        tx_latency_p50_ms: percentile_ms(&txs.latencies_micros, 50),
-        tx_latency_p95_ms: percentile_ms(&txs.latencies_micros, 95),
-        tx_latency_p99_ms: percentile_ms(&txs.latencies_micros, 99),
+        tx_latency_p50_ms: percentile(&txs.latencies_micros, 50) as f64 / 1_000.0,
+        tx_latency_p95_ms: percentile(&txs.latencies_micros, 95) as f64 / 1_000.0,
+        tx_latency_p99_ms: percentile(&txs.latencies_micros, 99) as f64 / 1_000.0,
     };
     Ok((summary, runtime, transport))
 }

@@ -38,6 +38,7 @@ pub mod id;
 pub mod params;
 pub mod slash;
 pub mod stake;
+pub mod stats;
 pub mod time;
 pub mod tx;
 pub mod view;
@@ -47,6 +48,7 @@ pub use id::ProcessId;
 pub use params::{Params, DEFAULT_VIEW_ROUNDS};
 pub use slash::SlashEvidence;
 pub use stake::StakeTable;
+pub use stats::percentile;
 pub use time::{Duration, Time, TimeRange};
 pub use tx::{Batch, Transaction, TxId};
 pub use view::{Epoch, View};
